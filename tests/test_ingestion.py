@@ -167,3 +167,59 @@ def test_invalid_domain_values_are_rejected():
         DeliveryRecord("P", 2020, 13, 1)
     with pytest.raises(ValueError):
         MonthlySeries("P", 2020, (1, 2, 3))  # not a multiple of 12
+
+
+def test_every_bad_line_is_reported_in_one_message(tmp_path):
+    deliveries = tmp_path / "deliveries.csv"
+    deliveries.write_text(
+        "product_id,date,quantity\n"
+        "P1,2020-01,10\n"
+        "P1, 2020-13 ,5\n"
+        "\n"
+        "P1,2020-03,-4\n"
+        "P1,2020-04, ten \n"
+        "P1,2020-05\n"
+        "P2,2021-07,5\n",
+        encoding="utf-8",
+    )
+    catalog = write_csv(
+        tmp_path / "catalog.csv",
+        "product_id,name,unit_price,urgency,boxes_per_carton,carton_l_mm,carton_w_mm,carton_h_mm",
+        [
+            ("P1", "Alpha", 2.5, 0, 10, 400, 300, 200),
+            ("P2", "Beta", 4.0, 1, 6, 300, 300, 300),
+            ("P1", "Alpha again", 3.0, 0, 10, 400, 300, 200),
+            ("P3", "Gamma", 1.0, 0, 10, 400, 300),
+        ],
+    )
+    stock = write_csv(tmp_path / "stock.csv", "product_id,on_hand", [("P1", 20), ("P2", 0), ("P2", 3)])
+    with pytest.raises(InputError) as exc:
+        parse_inputs(deliveries, catalog, stock)
+    # field-count problems of every file come before any field-value problem
+    assert str(exc.value) == "\n".join([
+        f"{deliveries}:7: expected 3 fields, got 2",
+        f"{catalog}:5: expected 8 fields, got 7",
+        f"{deliveries}:3: bad date '2020-13', month must be 1..12",
+        f"{deliveries}:5: quantity must be >= 0, got '-4'",
+        f"{deliveries}:6: quantity must be an integer, got 'ten'",
+        f"{catalog}:4: duplicate product_id 'P1' (first seen at line 2)",
+        f"{stock}:4: duplicate product_id 'P2' (first seen at line 3)",
+    ])
+
+
+def test_uncataloged_products_are_reported_once_files_parse_cleanly(tiny_inputs, tmp_path):
+    deliveries = write_csv(
+        tmp_path / "ghost_deliveries.csv",
+        "product_id,date,quantity",
+        [("P1", "2020-01", 10), ("GHOST", "2020-02", 4), ("P2", "2021-07", 5), ("GHOST", "2021-01", 1)],
+    )
+    stock = write_csv(
+        tmp_path / "ghost_stock.csv", "product_id,on_hand", [("P1", 20), ("P2", 0), ("PHANTOM", 3)]
+    )
+    with pytest.raises(InputError) as exc:
+        parse_inputs(deliveries, tiny_inputs["catalog"], stock)
+    assert str(exc.value) == "\n".join([
+        f"{deliveries}:3: product 'GHOST' not in catalog",
+        f"{deliveries}:5: product 'GHOST' not in catalog",
+        f"{stock}:4: product 'PHANTOM' not in catalog",
+    ])
