@@ -35,7 +35,6 @@ from .forecasting import (
 )
 from .ingestion import (
     CatalogEntry,
-    DeliveryRecord,
     InputError,
     MonthlySeries,
     StockSnapshot,

@@ -32,26 +32,6 @@ class InputError(ValueError):
 
 
 @dataclass(frozen=True)
-class DeliveryRecord:
-    """One delivery line: a product, a calendar month, a box count.
-
-    Dates finer than a month are truncated at parse time; demand is only
-    ever aggregated monthly.
-    """
-
-    product_id: str
-    year: int
-    month: int
-    quantity: int
-
-    def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month must be 1..12, got {self.month}")
-        if self.quantity < 0:
-            raise ValueError(f"quantity must be >= 0, got {self.quantity}")
-
-
-@dataclass(frozen=True)
 class MonthlySeries:
     """Contiguous monthly delivery totals for one product.
 
@@ -183,158 +163,177 @@ def _parse_dim(text: str, what: str):
     return int(value) if value == int(value) else value
 
 
-def _read_table(path, expected_header, problems):
-    """Read one CSV file, returning (line_number, row) pairs for data rows."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        problems.append(f"{path}: cannot read file ({exc})")
-        return []
-    if not rows:
+def _data_rows(fh, path, expected_header, problems):
+    """A csv reader positioned past a checked header, or None if there is none."""
+    reader = csv.reader(fh)
+    first = next(reader, None)
+    if first is None:
         problems.append(f"{path}: file is empty, expected header {','.join(expected_header)}")
-        return []
-    header = tuple(cell.strip() for cell in rows[0])
+        return None
+    header = tuple(cell.strip() for cell in first)
     if header != expected_header:
         problems.append(
             f"{path}:1: expected header {','.join(expected_header)}, got {','.join(header)}"
         )
-        return []
-    out = []
-    for line_no, row in enumerate(rows[1:], start=2):
+        return None
+    return reader
+
+
+def _read_keyed(path, expected_header, build):
+    """Parse a per-product CSV: ({product_id: (line, build(*row))}, shape and value problems)."""
+    shape, bad, rows = [], [], ()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(_data_rows(fh, path, expected_header, shape) or ())
+    except OSError as exc:
+        shape.append(f"{path}: cannot read file ({exc})")
+    parsed = {}
+    for line_no, row in enumerate(rows, start=2):
         if not row:  # tolerate blank lines
             continue
         if len(row) != len(expected_header):
-            problems.append(
+            shape.append(
                 f"{path}:{line_no}: expected {len(expected_header)} fields, got {len(row)}"
             )
             continue
-        out.append((line_no, [cell.strip() for cell in row]))
-    return out
+        row = [cell.strip() for cell in row]
+        pid = row[0]
+        try:
+            if not pid:
+                raise ValueError("product_id must not be empty")
+            if pid in parsed:
+                raise ValueError(
+                    f"duplicate product_id {pid!r} (first seen at line {parsed[pid][0]})"
+                )
+            parsed[pid] = (line_no, build(*row))
+        except ValueError as exc:
+            bad.append(f"{path}:{line_no}: {exc}")
+    return parsed, shape, bad
+
+
+def _catalog_entry(pid, name, price_text, urgency_text, bpc_text, l_text, w_text, h_text):
+    if not name:
+        raise ValueError("name must not be empty")
+    return CatalogEntry(
+        product_id=pid,
+        name=name,
+        unit_price=_parse_positive_number(price_text, "unit_price"),
+        urgency=_parse_int(urgency_text, 0, "urgency"),
+        boxes_per_carton=_parse_int(bpc_text, 1, "boxes_per_carton"),
+        carton_dims=(
+            _parse_dim(l_text, "carton_l_mm"),
+            _parse_dim(w_text, "carton_w_mm"),
+            _parse_dim(h_text, "carton_h_mm"),
+        ),
+    )
+
+
+def _stock_snapshot(pid, on_hand_text):
+    return StockSnapshot(pid, _parse_int(on_hand_text, 0, "on_hand"))
+
+
+def _fold_deliveries(path, catalog):
+    """Stream the delivery file into {product_id: {(year, month): quantity}}.
+
+    Returns that history, the (line_number, product_id) of valid lines naming
+    a product outside `catalog`, and the field-count and field-value problems.
+    """
+    history, uncataloged, shape, bad = {}, [], [], []
+    months = {}  # exact date text -> (year, month); only good dates are cached
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = _data_rows(fh, path, DELIVERIES_HEADER, shape)
+            for line_no, row in enumerate(rows or (), start=2):
+                if len(row) != 3:
+                    if row:  # tolerate blank lines
+                        shape.append(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
+                    continue
+                pid, date_text, qty_text = row
+                pid = pid.strip()
+                try:
+                    if not pid:
+                        raise ValueError("product_id must not be empty")
+                    year_month = months.get(date_text)
+                    if year_month is None:
+                        year_month = months[date_text] = _parse_year_month(date_text.strip())
+                    try:
+                        quantity = int(qty_text)
+                    except ValueError:
+                        quantity = -1
+                    if quantity < 0:
+                        quantity = _parse_int(qty_text.strip(), 0, "quantity")
+                except ValueError as exc:
+                    bad.append(f"{path}:{line_no}: {exc}")
+                    continue
+                totals = history.get(pid)
+                if totals is None:
+                    if pid not in catalog:
+                        uncataloged.append((line_no, pid))
+                        continue
+                    totals = history[pid] = {}
+                totals[year_month] = totals.get(year_month, 0) + quantity
+    except OSError as exc:
+        return {}, [], [f"{path}: cannot read file ({exc})"], []
+    return history, uncataloged, shape, bad
 
 
 def parse_inputs(deliveries_file, catalog_file, stock_file):
     """Parse and cross-validate the three input files.
 
-    Returns (delivery records, catalog entries, stock snapshots). Raises
-    InputError whose message carries one `file:line: reason` entry per
-    problem found, so a single run surfaces every bad row.
+    Returns (history, catalog entries, stock snapshots), where history
+    maps each delivered product to its monthly totals,
+    {(year, month): quantity}. Raises InputError whose message carries
+    one `file:line: reason` entry per problem found, so a single run
+    surfaces every bad row: field-count problems of the delivery, catalog
+    and stock files first, then field-value problems in the same file
+    order, then (only if all else is clean) uncataloged products.
     """
-    problems: list = []
-    delivery_rows = _read_table(deliveries_file, DELIVERIES_HEADER, problems)
-    catalog_rows = _read_table(catalog_file, CATALOG_HEADER, problems)
-    stock_rows = _read_table(stock_file, STOCK_HEADER, problems)
-
-    records = []
-    delivery_lines = []  # (line_no, product_id) for cross-checks
-    for line_no, row in delivery_rows:
-        pid, date_text, qty_text = row
-        try:
-            if not pid:
-                raise ValueError("product_id must not be empty")
-            year, month = _parse_year_month(date_text)
-            quantity = _parse_int(qty_text, 0, "quantity")
-        except ValueError as exc:
-            problems.append(f"{deliveries_file}:{line_no}: {exc}")
-            continue
-        records.append(DeliveryRecord(pid, year, month, quantity))
-        delivery_lines.append((line_no, pid))
-
-    entries = []
-    catalog_seen = {}
-    for line_no, row in catalog_rows:
-        pid, name, price_text, urgency_text, bpc_text, l_text, w_text, h_text = row
-        try:
-            if not pid:
-                raise ValueError("product_id must not be empty")
-            if pid in catalog_seen:
-                raise ValueError(
-                    f"duplicate product_id {pid!r} (first seen at line {catalog_seen[pid]})"
-                )
-            if not name:
-                raise ValueError("name must not be empty")
-            entry = CatalogEntry(
-                product_id=pid,
-                name=name,
-                unit_price=_parse_positive_number(price_text, "unit_price"),
-                urgency=_parse_int(urgency_text, 0, "urgency"),
-                boxes_per_carton=_parse_int(bpc_text, 1, "boxes_per_carton"),
-                carton_dims=(
-                    _parse_dim(l_text, "carton_l_mm"),
-                    _parse_dim(w_text, "carton_w_mm"),
-                    _parse_dim(h_text, "carton_h_mm"),
-                ),
-            )
-        except ValueError as exc:
-            problems.append(f"{catalog_file}:{line_no}: {exc}")
-            continue
-        catalog_seen[pid] = line_no
-        entries.append(entry)
-
-    snapshots = []
-    stock_seen = {}
-    stock_lines = []
-    for line_no, row in stock_rows:
-        pid, on_hand_text = row
-        try:
-            if not pid:
-                raise ValueError("product_id must not be empty")
-            if pid in stock_seen:
-                raise ValueError(
-                    f"duplicate product_id {pid!r} (first seen at line {stock_seen[pid]})"
-                )
-            snapshot = StockSnapshot(pid, _parse_int(on_hand_text, 0, "on_hand"))
-        except ValueError as exc:
-            problems.append(f"{stock_file}:{line_no}: {exc}")
-            continue
-        stock_seen[pid] = line_no
-        snapshots.append(snapshot)
-        stock_lines.append((line_no, pid))
-
+    catalog, catalog_shape, catalog_bad = _read_keyed(catalog_file, CATALOG_HEADER, _catalog_entry)
+    history, uncataloged, delivery_shape, delivery_bad = _fold_deliveries(deliveries_file, catalog)
+    stock, stock_shape, stock_bad = _read_keyed(stock_file, STOCK_HEADER, _stock_snapshot)
+    problems = delivery_shape + catalog_shape + stock_shape + delivery_bad + catalog_bad + stock_bad
     # Cross-file checks only make sense once every file parsed cleanly.
     if not problems:
-        known = set(catalog_seen)
-        for line_no, pid in delivery_lines:
-            if pid not in known:
-                problems.append(f"{deliveries_file}:{line_no}: product {pid!r} not in catalog")
-        for line_no, pid in stock_lines:
-            if pid not in known:
-                problems.append(f"{stock_file}:{line_no}: product {pid!r} not in catalog")
-
+        problems = [
+            f"{deliveries_file}:{line_no}: product {pid!r} not in catalog"
+            for line_no, pid in uncataloged
+        ] + [
+            f"{stock_file}:{line_no}: product {pid!r} not in catalog"
+            for pid, (line_no, _) in stock.items()
+            if pid not in catalog
+        ]
     if problems:
         raise InputError("\n".join(problems))
-    return records, entries, snapshots
+    return history, [entry for _, entry in catalog.values()], [snap for _, snap in stock.values()]
 
 
-def aggregate_monthly(records, start_year: int, n_years: int, product_ids=None):
-    """Pivot delivery records into per-product monthly series.
+def aggregate_monthly(history, start_year: int, n_years: int, product_ids=None):
+    """Pivot per-product monthly totals into contiguous monthly series.
 
-    Every record must fall inside [start_year, start_year + n_years); a
-    record outside the window is an error, not a filter. Products listed
-    in `product_ids` but absent from the records still get an all-zero
-    series, so catalog-only products are planned rather than forgotten.
+    `history` maps product ids to {(year, month): quantity}, the shape
+    parse_inputs returns. Every month must fall inside
+    [start_year, start_year + n_years); a delivery outside the window is
+    an error, not a filter. Products listed in `product_ids` but absent
+    from the history still get an all-zero series, so catalog-only
+    products are planned rather than forgotten.
     """
     if n_years < 1:
         raise ValueError(f"n_years must be >= 1, got {n_years}")
     slots = 12 * n_years
     end_year = start_year + n_years - 1
-    totals = {}
-    if product_ids is not None:
-        for pid in product_ids:
-            totals[pid] = [0] * slots
-    for rec in records:
-        if not start_year <= rec.year <= end_year:
-            raise ValueError(
-                f"delivery for {rec.product_id} dated {rec.year}-{rec.month:02d} "
-                f"falls outside the {start_year}..{end_year} history window"
-            )
-        if rec.product_id not in totals:
-            totals[rec.product_id] = [0] * slots
-        totals[rec.product_id][(rec.year - start_year) * 12 + rec.month - 1] += rec.quantity
-    return {
-        pid: MonthlySeries(pid, start_year, tuple(values))
-        for pid, values in sorted(totals.items())
-    }
+    pids = set(history).union(product_ids or ())
+    out = {}
+    for pid in sorted(pids):
+        values = [0] * slots
+        for (year, month), quantity in history.get(pid, {}).items():
+            if not start_year <= year <= end_year:
+                raise ValueError(
+                    f"delivery for {pid} dated {year}-{month:02d} "
+                    f"falls outside the {start_year}..{end_year} history window"
+                )
+            values[(year - start_year) * 12 + month - 1] = quantity
+        out[pid] = MonthlySeries(pid, start_year, tuple(values))
+    return out
 
 
 def annual_total(series: MonthlySeries, year: int) -> int:

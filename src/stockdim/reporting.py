@@ -134,9 +134,9 @@ def gap_kpi(demand_by_product, offered_by_product, period: str):
 
 
 def load_inputs(config: RunConfig) -> LoadedData:
-    records, entries, snapshots = parse_inputs(config.deliveries, config.catalog, config.stock)
+    history, entries, snapshots = parse_inputs(config.deliveries, config.catalog, config.stock)
     catalog = {e.product_id: e for e in entries}
-    series = aggregate_monthly(records, config.start_year, config.n_years, product_ids=catalog)
+    series = aggregate_monthly(history, config.start_year, config.n_years, product_ids=catalog)
     on_hand = resolve_on_hand(snapshots, catalog)
     return LoadedData(catalog=catalog, series=series, on_hand=on_hand)
 

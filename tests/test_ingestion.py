@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stockdim.ingestion import (
-    DeliveryRecord,
     InputError,
     MonthlySeries,
     StockSnapshot,
@@ -15,13 +14,31 @@ from stockdim.ingestion import (
 
 from conftest import write_csv
 
+PRODUCTS = ("A", "B", "C", "P1")
+
+
+def parse_delivery_lines(directory, lines):
+    """parse_inputs over the given delivery CSV lines and a catalog of PRODUCTS."""
+    deliveries = directory / "deliveries.csv"
+    deliveries.write_text("\n".join(["product_id,date,quantity", *lines]) + "\n", encoding="utf-8")
+    catalog = write_csv(
+        directory / "catalog.csv",
+        "product_id,name,unit_price,urgency,boxes_per_carton,carton_l_mm,carton_w_mm,carton_h_mm",
+        [(pid, f"Product {pid}", 1.0, 0, 10, 400, 300, 200) for pid in PRODUCTS],
+    )
+    stock = write_csv(directory / "stock.csv", "product_id,on_hand", [(pid, 0) for pid in PRODUCTS])
+    history, _, _ = parse_inputs(deliveries, catalog, stock)
+    return history
+
 
 def test_parse_well_formed_inputs(tiny_inputs):
-    records, entries, snapshots = parse_inputs(
+    history, entries, snapshots = parse_inputs(
         tiny_inputs["deliveries"], tiny_inputs["catalog"], tiny_inputs["stock"]
     )
-    assert len(records) == 4
-    assert records[1] == DeliveryRecord("P1", 2020, 3, 50)  # day truncated
+    assert history == {  # days truncated to their month
+        "P1": {(2020, 1): 10, (2020, 3): 50, (2021, 3): 60},
+        "P2": {(2021, 7): 5},
+    }
     assert [e.product_id for e in entries] == ["P1", "P2"]
     assert entries[0].carton_dims == (400, 300, 200)
     assert entries[1].urgency == 1
@@ -86,26 +103,39 @@ def test_delivery_for_uncataloged_product_is_an_error(tiny_inputs, tmp_path):
         parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"])
 
 
-def test_aggregate_no_records_zero_fills_catalog_products():
-    series = aggregate_monthly([], 2018, 1, product_ids=["P1"])
+def test_aggregate_no_records_zero_fills_catalog_products(tmp_path):
+    series = aggregate_monthly(parse_delivery_lines(tmp_path, []), 2018, 1, product_ids=["P1"])
     assert series["P1"].values == (0,) * 12
 
 
-def test_aggregate_single_record_lands_in_its_month():
-    series = aggregate_monthly([DeliveryRecord("P1", 2018, 3, 50)], 2018, 1)
+def test_aggregate_single_record_lands_in_its_month(tmp_path):
+    series = aggregate_monthly(parse_delivery_lines(tmp_path, ["P1,2018-03,50"]), 2018, 1)
     assert series["P1"].values[2] == 50
     assert sum(series["P1"].values) == 50
 
 
-def test_aggregate_same_month_records_add_up():
-    records = [DeliveryRecord("P1", 2018, 3, 50), DeliveryRecord("P1", 2018, 3, 20)]
-    series = aggregate_monthly(records, 2018, 1)
+def test_aggregate_same_month_records_add_up(tmp_path):
+    history = parse_delivery_lines(tmp_path, ["P1,2018-03,50", "P1,2018-03,20"])
+    series = aggregate_monthly(history, 2018, 1)
     assert series["P1"].values[2] == 70
 
 
-def test_aggregate_rejects_record_outside_window():
+def test_aggregate_rejects_record_outside_window(tmp_path):
+    history = parse_delivery_lines(tmp_path, ["P1,2019-01,5"])
     with pytest.raises(ValueError, match="outside the 2018..2018"):
-        aggregate_monthly([DeliveryRecord("P1", 2019, 1, 5)], 2018, 1)
+        aggregate_monthly(history, 2018, 1)
+
+
+def test_equal_months_share_a_slot_and_every_bad_date_line_is_reported(tmp_path):
+    history = parse_delivery_lines(tmp_path, ["P1,2020-03,1", "P1, 2020-03 ,2", "P1,2020-03-15,4"])
+    assert history == {"P1": {(2020, 3): 7}}
+    assert aggregate_monthly(history, 2020, 1)["P1"].values[2] == 7
+    with pytest.raises(InputError) as exc:
+        parse_delivery_lines(tmp_path, ["P1,2020-3x,1", "P1,2020-03,2", "P1,2020-3x,3"])
+    message = "bad date '2020-3x', expected YYYY-MM or YYYY-MM-DD"
+    assert str(exc.value) == "\n".join(
+        f"{tmp_path / 'deliveries.csv'}:{line}: {message}" for line in (2, 4)
+    )
 
 
 def test_annual_total_examples():
@@ -119,30 +149,36 @@ def test_annual_total_examples():
         annual_total(flat, 2019)
 
 
-records_strategy = st.lists(
+delivery_lines_strategy = st.lists(
     st.builds(
-        DeliveryRecord,
-        product_id=st.sampled_from(["A", "B", "C"]),
-        year=st.integers(2019, 2021),
-        month=st.integers(1, 12),
-        quantity=st.integers(0, 500),
+        "{},{}{}-{:02d}{}{},{}".format,
+        st.sampled_from(["A", "B", "C"]),
+        st.sampled_from(["", " "]),
+        st.integers(2019, 2021),
+        st.integers(1, 12),
+        st.sampled_from(["", "-01", "-28"]),
+        st.sampled_from(["", " "]),
+        st.integers(0, 500),
     ),
     max_size=60,
 )
 
 
-@given(records_strategy)
-def test_aggregation_conserves_quantities(records):
-    series = aggregate_monthly(records, 2019, 3)
+@given(delivery_lines_strategy)
+def test_aggregation_conserves_quantities(tmp_path_factory, lines):
+    series = aggregate_monthly(parse_delivery_lines(tmp_path_factory.mktemp("d"), lines), 2019, 3)
     for pid, s in series.items():
-        assert sum(s.values) == sum(r.quantity for r in records if r.product_id == pid)
+        assert sum(s.values) == sum(int(line.split(",")[2]) for line in lines if line[0] == pid)
 
 
-@given(records_strategy, st.randoms(use_true_random=False))
-def test_aggregation_is_order_independent(records, rnd):
-    shuffled = list(records)
+@given(delivery_lines_strategy, st.randoms(use_true_random=False))
+def test_aggregation_is_order_independent(tmp_path_factory, lines, rnd):
+    shuffled = list(lines)
     rnd.shuffle(shuffled)
-    assert aggregate_monthly(records, 2019, 3) == aggregate_monthly(shuffled, 2019, 3)
+    directory = tmp_path_factory.mktemp("d")
+    assert aggregate_monthly(parse_delivery_lines(directory, lines), 2019, 3) == aggregate_monthly(
+        parse_delivery_lines(directory, shuffled), 2019, 3
+    )
 
 
 def test_series_window_and_slices():
@@ -162,9 +198,9 @@ def test_resolve_on_hand_defaults_missing_products(caplog):
     assert "no stock snapshot for P2" in caplog.text
 
 
-def test_invalid_domain_values_are_rejected():
+def test_invalid_domain_values_are_rejected(tmp_path):
     with pytest.raises(ValueError):
-        DeliveryRecord("P", 2020, 13, 1)
+        parse_delivery_lines(tmp_path, ["P1,2020-13,1"])
     with pytest.raises(ValueError):
         MonthlySeries("P", 2020, (1, 2, 3))  # not a multiple of 12
 
