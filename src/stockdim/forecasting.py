@@ -5,11 +5,14 @@ over twelve months. The seasonal path rescales that baseline with
 per-month indices (month mean divided by grand monthly mean), which
 preserves the annual total while moving quantity into peak months.
 
-Everything is computed in exact rational arithmetic (`fractions.Fraction`)
-so the structural identities hold to the last bit: indices average to
-exactly 1, both forecast methods sum to exactly twelve times the monthly
-need, and on perfectly periodic demand the seasonal forecast reproduces
-the actuals with zero error.
+Both are exact by construction, in integers rather than `Fraction`
+objects. A profile keeps its month sums as integer weights, so index m
+is exactly 12 * weight_m / total and the indices average to exactly 1.
+`forecast` reads the need (an int, float or Fraction) as its integer
+ratio num / den, and each value, num * 12 * weight / (den * total), is
+one correctly rounded int/int division: the float nearest the exact
+value, as `float(Fraction(...))` gives. On perfectly periodic demand the
+seasonal forecast therefore reproduces the actuals with zero error.
 """
 
 from dataclasses import dataclass, field
@@ -26,22 +29,31 @@ MIN_FIT_YEARS = 2  # one year of history is pure noise for a monthly profile
 
 @dataclass(frozen=True)
 class SeasonalProfile:
-    """Twelve multiplicative month indices averaging exactly 1."""
+    """Twelve integer month weights; index m is 12 * weights[m] / sum."""
 
     product_id: str
-    indices: tuple
+    weights: tuple
 
     def __post_init__(self):
-        if len(self.indices) != 12:
-            raise ValueError(f"expected 12 indices, got {len(self.indices)}")
-        if any(idx < 0 for idx in self.indices):
-            raise ValueError("seasonal indices must be >= 0")
-        if abs(sum(self.indices) - 12) > 12e-9:
-            raise ValueError("seasonal indices must average to 1")
+        if len(self.weights) != 12:
+            raise ValueError(f"expected 12 month weights, got {len(self.weights)}")
+        if min(self.weights) < 0:
+            raise ValueError("month weights must be >= 0")
+        total = sum(self.weights)
+        if not isinstance(total, int):  # any float or Fraction weight makes the sum non-int
+            raise ValueError("month weights must be integers")
+        if total <= 0:
+            raise ValueError("month weights must have a positive sum")
+
+    @property
+    def indices(self) -> tuple:
+        """The twelve multiplicative month indices, averaging exactly 1."""
+        total = sum(self.weights)
+        return tuple(Fraction(12 * w, total) for w in self.weights)
 
     @classmethod
     def flat(cls, product_id: str) -> "SeasonalProfile":
-        return cls(product_id, (Fraction(1),) * 12)
+        return cls(product_id, (1,) * 12)
 
 
 @dataclass(frozen=True)
@@ -96,15 +108,12 @@ def fit_seasonal_indices(series: MonthlySeries) -> SeasonalProfile:
             f"{series.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
             f"seasonal indices, got {series.n_years}"
         )
-    total = sum(series.values)
-    if total == 0:
+    if not any(series.values):
         return SeasonalProfile.flat(series.product_id)
-    month_sums = [0] * 12
-    for slot, value in enumerate(series.values):
-        month_sums[slot % 12] += value
-    # month_sum / n_years over total / (12 * n_years) reduces to this:
-    indices = tuple(Fraction(12 * ms, total) for ms in month_sums)
-    return SeasonalProfile(series.product_id, indices)
+    # month_sum / n_years over total / (12 * n_years) reduces to
+    # 12 * month_sum / total, so the month sums are the weights.
+    values = series.values
+    return SeasonalProfile(series.product_id, tuple(sum(values[m::12]) for m in range(12)))
 
 
 def forecast(monthly_need, profile: SeasonalProfile, method: str) -> ForecastResult:
@@ -115,13 +124,16 @@ def forecast(monthly_need, profile: SeasonalProfile, method: str) -> ForecastRes
     """
     if method not in METHODS:
         raise ValueError(f"unknown forecast method {method!r}, expected one of {METHODS}")
-    need = Fraction(monthly_need)
-    if need < 0:
+    num, den = monthly_need.as_integer_ratio()
+    if num < 0:
         raise ValueError(f"monthly need must be >= 0, got {monthly_need}")
     if method == METHOD_NAIVE:
-        values = (float(need),) * 12
+        values = (num / den,) * 12
     else:
-        values = tuple(float(need * idx) for idx in profile.indices)
+        # need * 12 * w / total as one correctly rounded int/int division
+        num *= 12
+        den *= sum(profile.weights)
+        values = tuple(num * w / den for w in profile.weights)
     return ForecastResult(profile.product_id, method, values)
 
 

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .classification import (
@@ -34,7 +33,7 @@ from .forecasting import (
     forecast,
     monthly_need,
 )
-from .ingestion import aggregate_monthly, annual_total, parse_inputs, resolve_on_hand
+from .ingestion import aggregate_monthly, parse_inputs, resolve_on_hand
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
 
 CLASSIFICATION_CSV = "classification.csv"
@@ -120,17 +119,19 @@ class PipelineResult:
     files: dict = field(default_factory=dict)
 
 
+def _gap_row(pid: str, period: str, demand, offered) -> GapReport:
+    rate = 1.0 if demand <= 0 else min(offered, demand) / demand
+    return GapReport(pid, period, demand, offered, demand - offered, rate)
+
+
 def gap_kpi(demand_by_product, offered_by_product, period: str):
     """Per-product demand/offer gap and service rate for one period."""
     if set(demand_by_product) != set(offered_by_product):
         raise ValueError("demand and offer cover different product sets")
-    reports = []
-    for pid in sorted(demand_by_product):
-        demand = demand_by_product[pid]
-        offered = offered_by_product[pid]
-        rate = 1.0 if demand <= 0 else min(offered, demand) / demand
-        reports.append(GapReport(pid, period, demand, offered, demand - offered, rate))
-    return reports
+    return [
+        _gap_row(pid, period, demand_by_product[pid], offered_by_product[pid])
+        for pid in sorted(demand_by_product)
+    ]
 
 
 def load_inputs(config: RunConfig) -> LoadedData:
@@ -186,43 +187,28 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
     least two earlier years exist, the flat baseline otherwise.
     """
     year = config.last_history_year
-    offered_monthly = {}
-    for pid in product_ids:
+    months = [f"{year}-{month:02d}" for month in range(1, 13)]
+    reports = []
+    for pid in sorted(product_ids):
         series = data.series[pid]
         need = monthly_need(series, year)
         fit_years = year - series.start_year
         if fit_years >= MIN_FIT_YEARS:
             profile = fit_seasonal_indices(series.window(series.start_year, fit_years))
-            offered_monthly[pid] = forecast(need, profile, METHOD_SEASONAL).monthly_values
+            offers = forecast(need, profile, METHOD_SEASONAL).monthly_values
         else:
-            offered_monthly[pid] = forecast(need, SeasonalProfile.flat(pid), METHOD_NAIVE).monthly_values
-
-    reports = []
-    annual_demand = {pid: annual_total(data.series[pid], year) for pid in product_ids}
-    annual_offer = {pid: sum(offered_monthly[pid]) for pid in product_ids}
-    reports.extend(gap_kpi(annual_demand, annual_offer, str(year)))
-    for month in range(12):
-        demand = {pid: data.series[pid].year_slice(year)[month] for pid in product_ids}
-        offer = {pid: offered_monthly[pid][month] for pid in product_ids}
-        reports.extend(gap_kpi(demand, offer, f"{year}-{month + 1:02d}"))
-    reports.sort(key=lambda r: (r.product_id, len(r.period), r.period))
+            offers = forecast(need, SeasonalProfile.flat(pid), METHOD_NAIVE).monthly_values
+        demands = series.year_slice(year)
+        reports.append(_gap_row(pid, str(year), sum(demands), sum(offers)))
+        reports += [_gap_row(pid, m, d, o) for m, d, o in zip(months, demands, offers)]
     return reports
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        value = float(value)
-    return str(value)
 
 
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -230,7 +216,7 @@ def classification_csv(results) -> str:
     return _csv_text(
         ("product_id", "score", "rank", "cumulative_share", "abc_class", "strategic"),
         [
-            (r.product_id, r.score, r.rank, r.cumulative_share, r.abc_class, r.strategic)
+            (r.product_id, r.score, r.rank, r.cumulative_share, r.abc_class, "true" if r.strategic else "false")
             for r in sorted(results, key=lambda r: r.rank)
         ],
     )
@@ -255,7 +241,7 @@ def plan_csv(plans) -> str:
     return _csv_text(
         ("product_id", "M", "QS", "on_hand", "QC", "status"),
         [
-            (p.product_id, p.monthly_need, p.strategic_qty, p.on_hand, p.order_qty, p.status)
+            (p.product_id, float(p.monthly_need), float(p.strategic_qty), p.on_hand, float(p.order_qty), p.status)
             for p in plans
         ],
     )

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stockdim.forecasting import (
@@ -110,6 +110,44 @@ def test_both_methods_share_the_annual_total():
         seasonal = forecast(need, profile, METHOD_SEASONAL)
         assert sum(naive.monthly_values) == pytest.approx(12 * float(need), abs=1e-9)
         assert sum(seasonal.monthly_values) == pytest.approx(12 * float(need), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((1,) * 11, "expected 12 month weights, got 11"),
+        ((1,) * 11 + (-1,), ">= 0"),
+        ((0,) * 12, "positive sum"),
+        ((Fraction(1),) * 12, "integers"),
+        ((1,) * 11 + (1.5,), "integers"),
+    ],
+)
+def test_seasonal_profile_rejects_bad_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        SeasonalProfile("P", weights)
+
+
+NEEDS = st.one_of(
+    st.integers(0, 10**15).map(lambda annual: Fraction(annual, 12)),
+    st.integers(0, 10**9),
+    st.floats(0, 1e12),
+)
+
+
+@given(st.lists(st.integers(0, 10**12), min_size=12, max_size=12).filter(any), NEEDS)
+@example(list(DEC_PEAK), 100)
+@example(list(DEC_PEAK), 8.5)
+@example([10**12] + [0] * 10 + [1], Fraction(10**15 + 1, 12))
+def test_forecast_matches_the_fraction_reference_bit_for_bit(weights, need):
+    profile = SeasonalProfile("P", tuple(weights))
+    exact = Fraction(need)
+    reference = {
+        METHOD_NAIVE: [float(exact)] * 12,
+        METHOD_SEASONAL: [float(exact * Fraction(12 * w, sum(weights))) for w in weights],
+    }
+    for method, expected in reference.items():
+        values = forecast(need, profile, method).monthly_values
+        assert [v.hex() for v in values] == [e.hex() for e in expected]
 
 
 def test_forecast_rejects_negative_need_and_unknown_method():
