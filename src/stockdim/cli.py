@@ -37,6 +37,7 @@ from .reporting import (
     run_pipeline,
     select_products,
     volume_csv,
+    write_reports,
 )
 from .volumetric import PalletSpec, UnpalletizableError, volumetric_plan
 
@@ -169,12 +170,9 @@ def _build_config(params) -> RunConfig:
         raise click.ClickException(str(exc))
 
 
-def _write_output(config: RunConfig, name: str, text: str) -> Path:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    return path
+def _echo_written(files):
+    for path in files.values():
+        click.echo(f"wrote {path}")
 
 
 def _guarded(fn):
@@ -199,8 +197,7 @@ def classify(**params):
     def body():
         data = load_inputs(config)
         results = classify_all(data, config)
-        path = _write_output(config, CLASSIFICATION_CSV, classification_csv(results))
-        click.echo(f"wrote {path}")
+        _echo_written(write_reports(config.out_dir, {CLASSIFICATION_CSV: (classification_csv, results)}))
 
     _guarded(body)
 
@@ -216,8 +213,8 @@ def forecast(**params):
         product_ids = select_products(data, config)
         needs = compute_needs(data, product_ids, config.target_year)
         profiles = fit_profiles(data, product_ids, config.target_year)
-        path = _write_output(config, FORECAST_CSV, forecast_csv(build_forecasts(needs, profiles)))
-        click.echo(f"wrote {path}")
+        rows = build_forecasts(needs, profiles)
+        _echo_written(write_reports(config.out_dir, {FORECAST_CSV: (forecast_csv, rows)}))
 
     _guarded(body)
 
@@ -235,8 +232,7 @@ def backtest_cmd(holdout_year, **params):
         product_ids = select_products(data, config)
         year = holdout_year if holdout_year is not None else config.last_history_year
         reports = [backtest(data.series[pid], year) for pid in product_ids]
-        path = _write_output(config, BACKTEST_CSV, backtest_csv(reports))
-        click.echo(f"wrote {path}")
+        _echo_written(write_reports(config.out_dir, {BACKTEST_CSV: (backtest_csv, reports)}))
 
     _guarded(body)
 
@@ -254,8 +250,7 @@ def plan(**params):
         plans = plan_products(
             needs, {pid: data.on_hand[pid] for pid in product_ids}, config.multiplier
         )
-        path = _write_output(config, PLAN_CSV, plan_csv(plans))
-        click.echo(f"wrote {path}")
+        _echo_written(write_reports(config.out_dir, {PLAN_CSV: (plan_csv, plans)}))
 
     _guarded(body)
 
@@ -274,8 +269,7 @@ def volume(**params):
             needs, {pid: data.on_hand[pid] for pid in product_ids}, config.multiplier
         )
         volumes = [volumetric_plan(p, data.catalog[p.product_id], config.pallet) for p in plans]
-        path = _write_output(config, VOLUME_CSV, volume_csv(volumes))
-        click.echo(f"wrote {path}")
+        _echo_written(write_reports(config.out_dir, {VOLUME_CSV: (volume_csv, volumes)}))
 
     _guarded(body)
 
@@ -287,9 +281,7 @@ def report(**params):
     config = _build_config(params)
 
     def body():
-        result = run_pipeline(config)
-        for path in result.files.values():
-            click.echo(f"wrote {path}")
+        _echo_written(run_pipeline(config).files)
 
     _guarded(body)
 

@@ -84,7 +84,11 @@ class MonthlySeries:
                 f"outside series {self.start_year}..{self.end_year}"
             )
         lo = (start_year - self.start_year) * 12
-        return MonthlySeries(self.product_id, start_year, self.values[lo : lo + 12 * n_years])
+        # Whole years of already checked values: skip __post_init__'s scan.
+        sub = object.__new__(type(self))
+        vars(sub).update(product_id=self.product_id, start_year=start_year,
+                         values=self.values[lo : lo + 12 * n_years])
+        return sub
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,24 @@
 """End-to-end pipeline: ingest, classify, forecast, plan, size, report.
 
 The pipeline runs the whole chain for the strategic (class A) subset by
-default, or for every product with `include_all`. All outputs are
-computed in memory first and written only when the run succeeded, so a
-failing run leaves no partial files behind. Rows are emitted in
-product_id order (classification in rank order) and numbers are
-formatted with Python's shortest round-trip repr, which makes two runs
-over identical inputs byte-identical.
+default, or for every product with `include_all`. Once every stage has
+run, `write_reports` streams each file row by row into a temporary
+directory inside the output directory, then moves each into place with
+`os.replace` and removes the temporary directory, also on failure. A
+failed run thus keeps the previous outputs; as the commit is one rename
+per file, only a crash or failed rename between two of them can leave
+the set mixed. Rows are emitted in product_id order (classification in
+rank order) and numbers are formatted with Python's shortest round-trip
+repr, which makes two runs over identical inputs byte-identical.
 """
 
 import csv
-import io
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .classification import (
     DEFAULT_A_THRESHOLD,
@@ -45,8 +50,7 @@ GAP_CSV = "gap.csv"
 SUMMARY_JSON = "summary.json"
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Demand versus offer for one product and period, the headline KPI.
 
     `gap` keeps its sign (negative means the offer exceeded demand);
@@ -204,53 +208,55 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
     return reports
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(fh, header, rows):
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
-def classification_csv(results) -> str:
-    return _csv_text(
+def classification_csv(results, fh):
+    _write_csv(
+        fh,
         ("product_id", "score", "rank", "cumulative_share", "abc_class", "strategic"),
-        [
+        (
             (r.product_id, r.score, r.rank, r.cumulative_share, r.abc_class, "true" if r.strategic else "false")
             for r in sorted(results, key=lambda r: r.rank)
-        ],
+        ),
     )
 
 
-def forecast_csv(forecasts) -> str:
+def forecast_csv(forecasts, fh):
     header = ("product_id", "method") + tuple(f"m{i}" for i in range(1, 13))
-    return _csv_text(header, [(f.product_id, f.method) + f.monthly_values for f in forecasts])
+    _write_csv(fh, header, ((f.product_id, f.method) + f.monthly_values for f in forecasts))
 
 
-def backtest_csv(reports) -> str:
-    return _csv_text(
+def backtest_csv(reports, fh):
+    _write_csv(
+        fh,
         ("product_id", "holdout_year", "mae_naive", "mae_seasonal", "mape_naive", "mape_seasonal"),
-        [
+        (
             (r.product_id, r.holdout_year, r.mae_naive, r.mae_seasonal, r.mape_naive, r.mape_seasonal)
             for r in reports
-        ],
+        ),
     )
 
 
-def plan_csv(plans) -> str:
-    return _csv_text(
+def plan_csv(plans, fh):
+    _write_csv(
+        fh,
         ("product_id", "M", "QS", "on_hand", "QC", "status"),
-        [
+        (
             (p.product_id, float(p.monthly_need), float(p.strategic_qty), p.on_hand, float(p.order_qty), p.status)
             for p in plans
-        ],
+        ),
     )
 
 
-def volume_csv(volumes) -> str:
-    return _csv_text(
+def volume_csv(volumes, fh):
+    _write_csv(
+        fh,
         ("product_id", "boxes", "cartons", "cartons_per_pallet", "orientation", "pallets", "total_volume_m3"),
-        [
+        (
             (
                 v.product_id,
                 v.boxes,
@@ -261,15 +267,35 @@ def volume_csv(volumes) -> str:
                 v.total_volume_m3,
             )
             for v in volumes
-        ],
+        ),
     )
 
 
-def gap_csv(gaps) -> str:
-    return _csv_text(
-        ("product_id", "period", "demand", "offered", "gap", "service_rate"),
-        [(g.product_id, g.period, g.demand, g.offered, g.gap, g.service_rate) for g in gaps],
-    )
+def gap_csv(gaps, fh):
+    _write_csv(fh, ("product_id", "period", "demand", "offered", "gap", "service_rate"), gaps)
+
+
+def _summary_json(summary, fh):
+    json.dump(summary, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def write_reports(out_dir, reports) -> dict:
+    """Write every report into out_dir, all of them or none.
+
+    `reports` maps a file name to `(render, rows)`, and `render(rows, fh)`
+    writes that file. Returns the final path of every file.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".stockdim-", dir=out_dir) as tmp:
+        for name, (render, rows) in reports.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                render(rows, fh)
+        files = {name: out_dir / name for name in reports}
+        for name, path in files.items():
+            os.replace(os.path.join(tmp, name), path)
+    return files
 
 
 def summary_totals(product_ids, plans, volumes) -> dict:
@@ -304,23 +330,14 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     gaps = build_gaps(data, product_ids, config)
     summary = summary_totals(product_ids, plans, volumes)
 
-    contents = {
-        CLASSIFICATION_CSV: classification_csv(classification),
-        FORECAST_CSV: forecast_csv(forecasts),
-        PLAN_CSV: plan_csv(plans),
-        VOLUME_CSV: volume_csv(volumes),
-        GAP_CSV: gap_csv(gaps),
-        SUMMARY_JSON: json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    }
-
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, text in contents.items():
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        files[name] = path
-
+    files = write_reports(config.out_dir, {
+        CLASSIFICATION_CSV: (classification_csv, classification),
+        FORECAST_CSV: (forecast_csv, forecasts),
+        PLAN_CSV: (plan_csv, plans),
+        VOLUME_CSV: (volume_csv, volumes),
+        GAP_CSV: (gap_csv, gaps),
+        SUMMARY_JSON: (_summary_json, summary),
+    })
     return PipelineResult(
         classification=classification,
         forecasts=forecasts,

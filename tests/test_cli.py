@@ -1,4 +1,6 @@
+import builtins
 import csv
+import io
 
 from click.testing import CliRunner
 
@@ -148,3 +150,28 @@ def test_unpalletizable_product_fails_with_its_name(tmp_path):
     assert result.exit_code == 1
     assert "'P1' is unpalletizable" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_failed_write_keeps_the_previous_outputs(bundled_paths, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    real_open = io.open
+    written = []
+
+    def open_failing_on_fourth_write(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            written.append(file)
+            if len(written) == 4:
+                raise OSError("disk full")
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_failing_on_fourth_write)
+    monkeypatch.setattr(io, "open", open_failing_on_fourth_write)
+    result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
+    monkeypatch.undo()
+    assert result.exit_code == 1
+    assert "Error: disk full" in result.output
+    assert len(written) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -187,8 +187,15 @@ def test_series_window_and_slices():
     assert s.year_slice(2021) == values[12:]
     assert s.window(2021, 1).values == values[12:]
     assert s.window(2020, 2) == s
+    assert s.window(2021, 1) == MonthlySeries("P", 2021, values[12:])
     with pytest.raises(ValueError, match="outside series"):
         s.window(2019, 2)
+
+
+def test_series_rejects_negative_values():
+    for values in ((5,) * 11 + (-1,), (5,) * 11 + (float("nan"),) + (-1,) * 12):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            MonthlySeries("P", 2020, values)
 
 
 def test_resolve_on_hand_defaults_missing_products(caplog):

@@ -8,6 +8,7 @@ from conftest import write_csv
 from stockdim.ingestion import InputError
 from stockdim.reporting import (
     GAP_CSV,
+    GapReport,
     PLAN_CSV,
     RunConfig,
     gap_kpi,
@@ -43,6 +44,10 @@ def test_gap_kpi_conventions():
     assert out["A"].gap == 0 and out["A"].service_rate == 1.0
     assert out["B"].gap == 40 and out["B"].service_rate == 0.6
     assert out["C"].gap == -50 and out["C"].service_rate == 1.0
+    with pytest.raises(AttributeError):
+        out["A"].gap = 1
+    assert out["B"] == ("B", "2021", 100, 60, 40, 0.6)
+    assert GapReport._fields == ("product_id", "period", "demand", "offered", "gap", "service_rate")
 
 
 def test_gap_kpi_rejects_mismatched_product_sets():
