@@ -1,11 +1,13 @@
 import builtins
 import csv
+import hashlib
 import io
 
 from click.testing import CliRunner
 
 from conftest import write_csv
 from stockdim.cli import main
+from test_parity import GOLDEN
 
 
 def invoke(args):
@@ -175,3 +177,68 @@ def test_failed_write_keeps_the_previous_outputs(bundled_paths, tmp_path, monkey
     assert "Error: disk full" in result.output
     assert len(written) == 4
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def last_line(result):
+    return result.output.splitlines()[-1]
+
+
+def test_unreadable_config_file_fails_cleanly(bundled_paths, tmp_path):
+    missing = tmp_path / "missing.ini"
+    result = invoke(["plan", "--config", str(missing)] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert last_line(result) == (
+        f"Error: cannot read config file {missing}: "
+        f"[Errno 2] No such file or directory: '{missing}'"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_config_file_fails_cleanly(bundled_paths, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[window]\nyears = 3\nyears = 4\n", encoding="utf-8")
+    result = invoke(["plan", "--config", str(config)] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert last_line(result) == (
+        f"Error: bad config file {config}: While reading from '{config}' [line  3]: "
+        "option 'years' in section 'window' already exists"
+    )
+
+
+def test_bad_config_value_names_its_section_and_option(bundled_paths, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[window]\nyears = three\n", encoding="utf-8")
+    result = invoke(["plan", "--config", str(config)] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert last_line(result) == f"Error: bad config file {config}: [window] years = 'three'"
+
+
+def test_config_file_provides_the_target_year(bundled_paths, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[window]\ntarget_year = 2021\n", encoding="utf-8")
+    outputs = {}
+    for label, extra in (
+        ("ini", ["--config", str(config)]),
+        ("flag", ["--target-year", "2021"]),
+        ("default", []),
+    ):
+        result = invoke(["plan", "--all"] + extra + base_args(bundled_paths, tmp_path / label))
+        assert result.exit_code == 0, result.output
+        outputs[label] = (tmp_path / label / "plan.csv").read_bytes()
+    assert outputs["ini"] == outputs["flag"]
+    assert outputs["ini"] != outputs["default"]
+
+
+def test_backtest_holdout_year(bundled_paths, tmp_path):
+    result = invoke(["backtest", "--holdout-year", "2021"] + base_args(bundled_paths, tmp_path / "a"))
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256((tmp_path / "a" / "backtest.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[("backtest",)]["backtest.csv"]
+
+    result = invoke(["backtest", "--holdout-year", "2020"] + base_args(bundled_paths, tmp_path / "b"))
+    assert result.exit_code == 1
+    assert last_line(result) == (
+        "Error: DG-0002: backtesting 2020 needs at least 2 years strictly before it, got 1"
+    )
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "b").exists()

@@ -2,7 +2,9 @@
 
 Every report byte is pinned: a change that alters any output must update
 these hashes on purpose and say why. `report` writes five reports plus
-summary.json; `backtest`, the sixth report, is pinned on its own.
+summary.json; `backtest`, the sixth report, is pinned on its own. Each
+single-artifact subcommand must write the same bytes as the matching file
+of `report` with the same flags.
 """
 
 import hashlib
@@ -36,6 +38,14 @@ GOLDEN = {
         "backtest.csv": "90f747ca7e498d3d8e29045c425f0e7952ead510b00f971a8d691740b0055881",
     },
 }
+for _flags in ((), ("--all",)):
+    for _command, _name in (
+        ("classify", "classification.csv"),
+        ("forecast", "forecast.csv"),
+        ("plan", "plan.csv"),
+        ("volume", "volume.csv"),
+    ):
+        GOLDEN[(_command,) + _flags] = {_name: GOLDEN[("report",) + _flags][_name]}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN), ids=" ".join)
