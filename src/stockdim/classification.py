@@ -23,8 +23,9 @@ class CriteriaWeights:
     w_urgency: float = 0.2
 
     def __post_init__(self):
-        if min(self.w_revenue, self.w_ratio, self.w_urgency) < 0:
-            raise ValueError("criteria weights must be non-negative")
+        for name, weight in vars(self).items():
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"criteria weight {name} must be finite and non-negative, got {weight}")
         total = self.w_revenue + self.w_ratio + self.w_urgency
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"criteria weights must sum to 1, got {total}")

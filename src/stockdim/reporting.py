@@ -1,22 +1,26 @@
 """End-to-end pipeline: ingest, classify, forecast, plan, size, report.
 
-The pipeline runs the whole chain for the strategic (class A) subset by
-default, or for every product with `include_all`. Once every stage has
-run, `write_reports` streams each file row by row into a temporary
-directory inside the output directory, then moves each into place with
-`os.replace` and removes the temporary directory, also on failure. A
-failed run thus keeps the previous outputs; as the commit is one rename
-per file, only a crash or failed rename between two of them can leave
-the set mixed. Rows are emitted in product_id order (classification in
-rank order) and numbers are formatted with Python's shortest round-trip
-repr, which makes two runs over identical inputs byte-identical.
+The pipeline is defined once, as the stages of `PipelineResult`, each
+computed on first use. `run_pipeline` computes only the stages behind
+the requested files (`ARTIFACTS`), for the strategic (class A) subset by
+default or for every product with `include_all`. Then `write_reports`
+streams each file into a temporary directory inside the output
+directory, moves each into place with `os.replace` and removes the
+temporary directory, also on failure. A failed run thus keeps the
+previous outputs; as the commit is one rename per file, only a crash or
+failed rename between two of them can leave the set mixed. Rows are emitted in
+product_id order (classification in rank order) and numbers are
+formatted with Python's shortest round-trip repr, which makes two runs
+over identical inputs byte-identical.
 """
 
 import csv
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +38,7 @@ from .forecasting import (
     METHOD_SEASONAL,
     MIN_FIT_YEARS,
     SeasonalProfile,
+    backtest,
     fit_seasonal_indices,
     forecast,
     monthly_need,
@@ -48,6 +53,7 @@ PLAN_CSV = "plan.csv"
 VOLUME_CSV = "volume.csv"
 GAP_CSV = "gap.csv"
 SUMMARY_JSON = "summary.json"
+REPORT = (CLASSIFICATION_CSV, FORECAST_CSV, PLAN_CSV, VOLUME_CSV, GAP_CSV, SUMMARY_JSON)
 
 
 class GapReport(NamedTuple):
@@ -95,8 +101,8 @@ class RunConfig:
                 f"target year {self.target_year} needs year {self.target_year - 1} of history, "
                 f"but the window ends in {self.start_year + self.n_years - 1}"
             )
-        if not self.multiplier > 0:
-            raise ValueError(f"stock multiplier must be > 0, got {self.multiplier}")
+        if not (math.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValueError(f"stock multiplier must be finite and > 0, got {self.multiplier}")
 
     @property
     def last_history_year(self) -> int:
@@ -110,17 +116,6 @@ class LoadedData:
     catalog: dict
     series: dict
     on_hand: dict
-
-
-@dataclass
-class PipelineResult:
-    classification: list
-    forecasts: list
-    plans: list
-    volumes: list
-    gaps: list
-    summary: dict
-    files: dict = field(default_factory=dict)
 
 
 def _gap_row(pid: str, period: str, demand, offered) -> GapReport:
@@ -144,43 +139,6 @@ def load_inputs(config: RunConfig) -> LoadedData:
     series = aggregate_monthly(history, config.start_year, config.n_years, product_ids=catalog)
     on_hand = resolve_on_hand(snapshots, catalog)
     return LoadedData(catalog=catalog, series=series, on_hand=on_hand)
-
-
-def classify_all(data: LoadedData, config: RunConfig):
-    scored = score_products(data.series, data.catalog, config.weights)
-    return rank_and_cut(scored, config.a_threshold, config.b_threshold)
-
-
-def select_products(data: LoadedData, config: RunConfig):
-    """The product ids a run works on: all of them, or the class A sample."""
-    if config.include_all:
-        return sorted(data.catalog)
-    results = classify_all(data, config)
-    return sorted(r.product_id for r in results if r.strategic)
-
-
-def compute_needs(data: LoadedData, product_ids, target_year: int):
-    """Monthly need per product for the target year (exact fractions)."""
-    return {pid: monthly_need(data.series[pid], target_year) for pid in product_ids}
-
-
-def fit_profiles(data: LoadedData, product_ids, target_year: int):
-    """Seasonal profiles fit on all years strictly before the target year."""
-    profiles = {}
-    for pid in product_ids:
-        series = data.series[pid]
-        fit_years = min(target_year, series.end_year + 1) - series.start_year
-        profiles[pid] = fit_seasonal_indices(series.window(series.start_year, fit_years))
-    return profiles
-
-
-def build_forecasts(needs, profiles):
-    """Naive and seasonal forecast rows for every product, id-ordered."""
-    out = []
-    for pid in sorted(needs):
-        out.append(forecast(needs[pid], profiles[pid], METHOD_NAIVE))
-        out.append(forecast(needs[pid], profiles[pid], METHOD_SEASONAL))
-    return out
 
 
 def build_gaps(data: LoadedData, product_ids, config: RunConfig):
@@ -298,52 +256,100 @@ def write_reports(out_dir, reports) -> dict:
     return files
 
 
-def summary_totals(product_ids, plans, volumes) -> dict:
-    return {
-        "products_planned": len(product_ids),
-        "total_qc_boxes": sum(float(p.order_qty) for p in plans),
-        "total_pallets": sum(v.pallets for v in volumes),
-        "total_volume_m3": sum(v.total_volume_m3 for v in volumes),
-    }
+# File name -> (render function, PipelineResult stage it renders), both by
+# name, so a replaced module attribute (a test double, a tracer) is used.
+ARTIFACTS = {
+    CLASSIFICATION_CSV: ("classification_csv", "classification"),
+    FORECAST_CSV: ("forecast_csv", "forecasts"),
+    BACKTEST_CSV: ("backtest_csv", "backtests"),
+    PLAN_CSV: ("plan_csv", "plans"),
+    VOLUME_CSV: ("volume_csv", "volumes"),
+    GAP_CSV: ("gap_csv", "gaps"),
+    SUMMARY_JSON: ("_summary_json", "summary"),
+}
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Run the full chain and write every report into config.out_dir.
+class PipelineResult:
+    """The stages of one run; reading one computes it, once, and its inputs."""
 
-    Emits classification.csv (always the full product set), plus
-    forecast/plan/volume/gap CSVs for the selected subset and a
-    summary.json of the totals. Identical inputs and config produce
-    byte-identical files.
+    def __init__(self, config: RunConfig, holdout_year=None):
+        self.config = config
+        self.holdout_year = config.last_history_year if holdout_year is None else holdout_year
+        self.files = {}
+
+    @cached_property
+    def data(self) -> LoadedData:
+        return load_inputs(self.config)
+
+    @cached_property
+    def classification(self):
+        """Every cataloged product, ranked and cut into ABC classes."""
+        scored = score_products(self.data.series, self.data.catalog, self.config.weights)
+        return rank_and_cut(scored, self.config.a_threshold, self.config.b_threshold)
+
+    @cached_property
+    def product_ids(self):
+        """The products the run works on: all of them, or the class A sample."""
+        if self.config.include_all:
+            return sorted(self.data.catalog)
+        return sorted(r.product_id for r in self.classification if r.strategic)
+
+    @cached_property
+    def needs(self):
+        """Monthly need per product for the target year (exact fractions)."""
+        series = self.data.series
+        return {pid: monthly_need(series[pid], self.config.target_year) for pid in self.product_ids}
+
+    @cached_property
+    def forecasts(self):
+        """Naive and seasonal rows per product, fit on all years before the target."""
+        start = self.config.start_year
+        fit_years = self.config.target_year - start
+        rows = []
+        for pid, need in self.needs.items():
+            profile = fit_seasonal_indices(self.data.series[pid].window(start, fit_years))
+            rows += (forecast(need, profile, METHOD_NAIVE), forecast(need, profile, METHOD_SEASONAL))
+        return rows
+
+    @cached_property
+    def backtests(self):
+        return [backtest(self.data.series[pid], self.holdout_year) for pid in self.product_ids]
+
+    @cached_property
+    def plans(self):
+        return plan_products(self.needs, self.data.on_hand, self.config.multiplier)
+
+    @cached_property
+    def volumes(self):
+        catalog, pallet = self.data.catalog, self.config.pallet
+        return [volumetric_plan(p, catalog[p.product_id], pallet) for p in self.plans]
+
+    @cached_property
+    def gaps(self):
+        return build_gaps(self.data, self.product_ids, self.config)
+
+    @cached_property
+    def summary(self) -> dict:
+        return {
+            "products_planned": len(self.product_ids),
+            "total_qc_boxes": sum(float(p.order_qty) for p in self.plans),
+            "total_pallets": sum(v.pallets for v in self.volumes),
+            "total_volume_m3": sum(v.total_volume_m3 for v in self.volumes),
+        }
+
+
+def run_pipeline(config: RunConfig, artifacts=REPORT, holdout_year=None) -> PipelineResult:
+    """Compute every stage behind `artifacts`, then write those files.
+
+    The default is `report`'s six files: classification.csv (always every
+    product), forecast/plan/volume/gap CSVs of the selected products and
+    summary.json. backtest.csv scores `holdout_year` (default: the last
+    history year). Identical inputs and config give byte-identical files.
     """
-    data = load_inputs(config)
-    classification = classify_all(data, config)
-    if config.include_all:
-        product_ids = sorted(data.catalog)
-    else:
-        product_ids = sorted(r.product_id for r in classification if r.strategic)
-
-    needs = compute_needs(data, product_ids, config.target_year)
-    profiles = fit_profiles(data, product_ids, config.target_year)
-    forecasts = build_forecasts(needs, profiles)
-    plans = plan_products(needs, {pid: data.on_hand[pid] for pid in product_ids}, config.multiplier)
-    volumes = [volumetric_plan(p, data.catalog[p.product_id], config.pallet) for p in plans]
-    gaps = build_gaps(data, product_ids, config)
-    summary = summary_totals(product_ids, plans, volumes)
-
-    files = write_reports(config.out_dir, {
-        CLASSIFICATION_CSV: (classification_csv, classification),
-        FORECAST_CSV: (forecast_csv, forecasts),
-        PLAN_CSV: (plan_csv, plans),
-        VOLUME_CSV: (volume_csv, volumes),
-        GAP_CSV: (gap_csv, gaps),
-        SUMMARY_JSON: (_summary_json, summary),
-    })
-    return PipelineResult(
-        classification=classification,
-        forecasts=forecasts,
-        plans=plans,
-        volumes=volumes,
-        gaps=gaps,
-        summary=summary,
-        files=files,
-    )
+    result = PipelineResult(config, holdout_year)
+    reports = {}
+    for name in artifacts:
+        render, stage = ARTIFACTS[name]
+        reports[name] = (globals()[render], getattr(result, stage))
+    result.files = write_reports(config.out_dir, reports)
+    return result

@@ -39,8 +39,9 @@ class PalletSpec:
     usable_height: float = 1500
 
     def __post_init__(self):
-        if min(self.usable_length, self.usable_width, self.usable_height) <= 0:
-            raise ValueError("pallet dimensions must all be > 0")
+        for name, size in vars(self).items():
+            if not (math.isfinite(size) and size > 0):
+                raise ValueError(f"pallet {name} must be finite and > 0, got {size}")
 
 
 DEFAULT_PALLET = PalletSpec()  # EUR footprint, 1.5 m usable stack height

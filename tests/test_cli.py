@@ -3,9 +3,11 @@ import csv
 import hashlib
 import io
 
+import pytest
 from click.testing import CliRunner
 
 from conftest import write_csv
+from stockdim import reporting
 from stockdim.cli import main
 from test_parity import GOLDEN
 
@@ -242,3 +244,34 @@ def test_backtest_holdout_year(bundled_paths, tmp_path):
     )
     assert "Traceback" not in result.output
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["plan", "--multiplier", "inf"], "stock multiplier must be finite and > 0, got inf"),
+    (["volume", "--pallet-l", "inf"], "pallet usable_length must be finite and > 0, got inf"),
+    (["volume", "--pallet-h", "nan"], "pallet usable_height must be finite and > 0, got nan"),
+    (["classify", "--w-ratio", "nan"], "criteria weight w_ratio must be finite and non-negative, got nan"),
+], ids=["multiplier", "pallet-l", "pallet-h", "w-ratio"])
+def test_non_finite_settings_are_rejected_by_name(args, message, bundled_paths, tmp_path):
+    result = invoke(args + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert last_line(result) == f"Error: {message}"
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, unused", [
+    (["classify"], ("monthly_need", "plan_products", "build_gaps", "backtest")),
+    (["forecast"], ("plan_products", "build_gaps")),
+    (["backtest"], ("plan_products", "build_gaps")),
+    (["plan"], ("volumetric_plan",)),
+    (["plan", "--all"], ("rank_and_cut",)),
+], ids=" ".join)
+def test_single_artifact_subcommands_run_only_their_stages(args, unused, bundled_paths, tmp_path, monkeypatch):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError(f"`{' '.join(args)}` ran a stage it does not need")
+
+    for name in unused:
+        monkeypatch.setattr(reporting, name, must_not_run)
+    result = invoke(args + base_args(bundled_paths, tmp_path))
+    assert result.exit_code == 0, result.exception
