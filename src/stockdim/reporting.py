@@ -8,10 +8,10 @@ streams each file into a temporary directory inside the output
 directory, moves each into place with `os.replace` and removes the
 temporary directory, also on failure. A failed run thus keeps the
 previous outputs; as the commit is one rename per file, only a crash or
-failed rename between two of them can leave the set mixed. Rows are emitted in
-product_id order (classification in rank order) and numbers are
-formatted with Python's shortest round-trip repr, which makes two runs
-over identical inputs byte-identical.
+failed rename between two of them can leave the set mixed. Rows are
+emitted in product_id order (classification in rank order) and numbers
+are formatted with Python's shortest round-trip repr, which makes two
+runs over identical inputs byte-identical.
 """
 
 import csv
