@@ -246,6 +246,14 @@ def test_backtest_holdout_year(bundled_paths, tmp_path):
     assert not (tmp_path / "b").exists()
 
 
+def test_failed_forecast_stage_creates_no_output_directory(bundled_paths, tmp_path):
+    out = tmp_path / "out"
+    result = invoke(["forecast", "--target-year", "2020"] + base_args(bundled_paths, out))
+    assert result.exit_code == 1
+    assert last_line(result) == "Error: DG-0002: need at least 2 full years to fit seasonal indices, got 1"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["plan", "--multiplier", "inf"], "stock multiplier must be finite and > 0, got inf"),
     (["volume", "--pallet-l", "inf"], "pallet usable_length must be finite and > 0, got inf"),

@@ -152,6 +152,28 @@ def test_failed_run_leaves_no_partial_outputs(tiny_inputs, tmp_path):
     assert not out.exists()
 
 
+def test_failed_gap_stage_creates_no_output_directory(tmp_path):
+    deliveries = write_csv(
+        tmp_path / "deliveries.csv", "product_id,date,quantity",
+        [("P1", "2021-02", 10), ("P1", "2021-09", 4), ("P2", "2021-05", 7)],
+    )
+    catalog = write_csv(
+        tmp_path / "catalog.csv",
+        "product_id,name,unit_price,urgency,boxes_per_carton,carton_l_mm,carton_w_mm,carton_h_mm",
+        [("P1", "Alpha", 2.0, 1, 10, 300, 300, 300), ("P2", "Beta", 3.0, 0, 10, 300, 300, 300)],
+    )
+    stock = write_csv(tmp_path / "stock.csv", "product_id,on_hand", [("P1", 0), ("P2", 0)])
+    paths = {"deliveries": deliveries, "catalog": catalog, "stock": stock}
+    out = tmp_path / "never"
+    config = make_config(paths, out, start_year=2021, n_years=1, target_year=2022, include_all=True)
+    with pytest.raises(ValueError) as raised:
+        run_pipeline(config, (GAP_CSV,))
+    assert str(raised.value) == (
+        "P1: cannot derive the monthly need for 2021, year 2020 not covered by the series (2021..2021)"
+    )
+    assert not out.exists()
+
+
 def test_strategic_closure_on_bundled_dataset(bundled_paths, tmp_path):
     out = tmp_path / "out"
     result = run_pipeline(make_config(bundled_paths, out))
