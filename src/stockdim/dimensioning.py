@@ -17,6 +17,14 @@ OVERSTOCK = "OVERSTOCK"
 STATUSES = (UNDERSTOCK, EXACT, OVERSTOCK)
 
 
+_ZERO = Fraction(0)
+
+
+def _exact(value) -> Fraction:
+    """`value` as a Fraction, without re-wrapping one that already is."""
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 @dataclass(frozen=True)
 class StockPlan:
     """The per-product sizing chain: need, strategic level, order, status."""
@@ -31,10 +39,10 @@ class StockPlan:
 
 def strategic_stock(monthly_need, months=DEFAULT_STOCK_MONTHS) -> Fraction:
     """Strategic stock level: `months` times the monthly need, exact."""
-    need = Fraction(monthly_need)
+    need = _exact(monthly_need)
     if need < 0:
         raise ValueError(f"monthly need must be >= 0, got {monthly_need}")
-    horizon = Fraction(months)
+    horizon = _exact(months)
     if horizon <= 0:
         raise ValueError(f"stock months must be > 0, got {months}")
     return need * horizon
@@ -47,17 +55,16 @@ def order_quantity(strategic_qty, on_hand):
     hand). on_hand above the strategic level is OVERSTOCK and orders
     nothing; exactly at the level is EXACT.
     """
-    target = Fraction(strategic_qty)
+    target = _exact(strategic_qty)
     if target < 0:
         raise ValueError(f"strategic quantity must be >= 0, got {strategic_qty}")
     if on_hand < 0:
         raise ValueError(f"on_hand must be >= 0, got {on_hand}")
-    shortfall = target - on_hand
     if on_hand > target:
-        return Fraction(0), OVERSTOCK
+        return _ZERO, OVERSTOCK
     if on_hand == target:
-        return Fraction(0), EXACT
-    return shortfall, UNDERSTOCK
+        return _ZERO, EXACT
+    return target - on_hand, UNDERSTOCK
 
 
 def plan_products(needs_by_product, on_hand_by_product, months=DEFAULT_STOCK_MONTHS):
@@ -68,10 +75,11 @@ def plan_products(needs_by_product, on_hand_by_product, months=DEFAULT_STOCK_MON
     where the gap can be reported).
     """
     plans = []
+    months = _exact(months)
     for pid in sorted(needs_by_product):
         if pid not in on_hand_by_product:
             raise ValueError(f"no on-hand stock level for product {pid!r}")
-        need = Fraction(needs_by_product[pid])
+        need = _exact(needs_by_product[pid])
         target = strategic_stock(need, months)
         on_hand = on_hand_by_product[pid]
         order, status = order_quantity(target, on_hand)
