@@ -65,6 +65,20 @@ def _options(command):
     return command
 
 
+def _unknown_entry(parser):
+    """The first INI section or option that no setting reads, or None."""
+    known = {(section, option) for _, section, option, *_ in _SETTINGS}
+    if parser.defaults():
+        return f"section [{parser.default_section}]"
+    for section in parser.sections():
+        if section not in {s for s, _ in known}:
+            return f"section [{section}]"
+        for option in parser.options(section):
+            if (section, option) not in known:
+                return f"option [{section}] {option}"
+    return None
+
+
 def _build_config(params) -> RunConfig:
     """Merge flags > config file > defaults into a validated RunConfig."""
     path = params["config_file"]
@@ -75,8 +89,13 @@ def _build_config(params) -> RunConfig:
                 parser.read_file(fh)
     except OSError as exc:
         raise click.ClickException(f"cannot read config file {path}: {exc}")
-    except configparser.Error as exc:
-        raise click.ClickException(f"bad config file {path}: {exc}")
+    except configparser.Error as exc:  # some of these messages span lines
+        raise click.ClickException(
+            f"bad config file {path}: " + " ".join(line.strip() for line in str(exc).splitlines())
+        )
+    unknown = _unknown_entry(parser)
+    if unknown:
+        raise click.ClickException(f"bad config file {path}: unknown {unknown}")
     settings = {}
     for key, section, option, kind, default, _ in _SETTINGS:
         settings[key] = default
