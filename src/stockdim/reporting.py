@@ -1,20 +1,25 @@
 """End-to-end pipeline: ingest, classify, forecast, plan, size, report.
 
-The pipeline is defined once, as the stages of `PipelineResult`, each
-computed on first use. `run_pipeline` computes only the stages behind
-the requested files (`ARTIFACTS`), for the strategic (class A) subset by
-default or for every product with `include_all`. Then `write_reports`
-streams each file into a temporary directory inside the output
-directory, moves each into place with `os.replace` and removes the
-temporary directory, also on failure. A failed run thus keeps the
-previous outputs; as the commit is one rename per file, only a crash or
-failed rename between two of them can leave the set mixed. Rows are
-emitted in product_id order (classification in rank order) and numbers
-are formatted with Python's shortest round-trip repr, which makes two
-runs over identical inputs byte-identical.
+The pipeline is defined once, as the stages of `PipelineResult`. Most
+are computed once, on first use; `forecasts` and `gaps`, each read by
+one file only, are iterators computed as that file is written, anew on
+each read. `run_pipeline` reads only the stages behind the requested
+files (`ARTIFACTS`), for the strategic (class A) subset by default or
+for every product with `include_all`. Every check on the inputs and
+settings runs before the output directory exists: a materialized stage
+is computed whole, a streamed one computes its first row (`_started`).
+Then `write_reports` streams each file into a temporary directory inside
+the output directory, moves each into place with `os.replace` and
+removes the temporary directory, also on failure. A failed run thus
+keeps the previous outputs; as the commit is one rename per file, only
+a crash or failed rename between two of them can leave the set mixed.
+Rows are emitted in product_id order (classification in rank order) and
+numbers are formatted with Python's shortest round-trip repr, which
+makes two runs over identical inputs byte-identical.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -142,7 +147,7 @@ def load_inputs(config: RunConfig) -> LoadedData:
 
 
 def build_gaps(data: LoadedData, product_ids, config: RunConfig):
-    """Gap KPI rows for the last history year, annual then monthly.
+    """Yield gap KPI rows for the last history year, annual then monthly.
 
     The offer is what the planning method would have put on the table
     for that year with no lookahead: the seasonal forecast when at
@@ -150,7 +155,6 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
     """
     year = config.last_history_year
     months = [f"{year}-{month:02d}" for month in range(1, 13)]
-    reports = []
     for pid in sorted(product_ids):
         series = data.series[pid]
         need = monthly_need(series, year)
@@ -161,9 +165,9 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
         else:
             offers = forecast(need, SeasonalProfile.flat(pid), METHOD_NAIVE).monthly_values
         demands = series.year_slice(year)
-        reports.append(_gap_row(pid, str(year), sum(demands), sum(offers)))
-        reports += [_gap_row(pid, m, d, o) for m, d, o in zip(months, demands, offers)]
-    return reports
+        yield _gap_row(pid, str(year), sum(demands), sum(offers))
+        for m, d, o in zip(months, demands, offers):
+            yield _gap_row(pid, m, d, o)
 
 
 def _write_csv(fh, header, rows):
@@ -269,8 +273,23 @@ ARTIFACTS = {
 }
 
 
+def _started(rows):
+    """An iterator over `rows` whose first row is computed now.
+
+    Every product's series spans the run's window, so a check that fails
+    for one product of a streamed stage (too few years to fit a profile,
+    no prior year for a need) fails for the first. Computing that row
+    when the stage is read raises it before `write_reports` creates the
+    output directory.
+    """
+    rows = iter(rows)
+    for first in rows:
+        return itertools.chain((first,), rows)
+    return rows
+
+
 class PipelineResult:
-    """The stages of one run; reading one computes it, once, and its inputs."""
+    """The stages of one run; reading one computes it and its inputs."""
 
     def __init__(self, config: RunConfig, holdout_year=None):
         self.config = config
@@ -300,16 +319,21 @@ class PipelineResult:
         series = self.data.series
         return {pid: monthly_need(series[pid], self.config.target_year) for pid in self.product_ids}
 
-    @cached_property
+    @property
     def forecasts(self):
-        """Naive and seasonal rows per product, fit on all years before the target."""
+        """Naive then seasonal row per product, fit on all years before the target.
+
+        Unlike the cached stages, a fresh iterator on each read.
+        """
+        return _started(self._forecast_rows())
+
+    def _forecast_rows(self):
         start = self.config.start_year
         fit_years = self.config.target_year - start
-        rows = []
         for pid, need in self.needs.items():
             profile = fit_seasonal_indices(self.data.series[pid].window(start, fit_years))
-            rows += (forecast(need, profile, METHOD_NAIVE), forecast(need, profile, METHOD_SEASONAL))
-        return rows
+            yield forecast(need, profile, METHOD_NAIVE)
+            yield forecast(need, profile, METHOD_SEASONAL)
 
     @cached_property
     def backtests(self):
@@ -324,9 +348,10 @@ class PipelineResult:
         catalog, pallet = self.data.catalog, self.config.pallet
         return [volumetric_plan(p, catalog[p.product_id], pallet) for p in self.plans]
 
-    @cached_property
+    @property
     def gaps(self):
-        return build_gaps(self.data, self.product_ids, self.config)
+        """`build_gaps` rows, a fresh iterator on each read like `forecasts`."""
+        return _started(build_gaps(self.data, self.product_ids, self.config))
 
     @cached_property
     def summary(self) -> dict:
@@ -339,12 +364,15 @@ class PipelineResult:
 
 
 def run_pipeline(config: RunConfig, artifacts=REPORT, holdout_year=None) -> PipelineResult:
-    """Compute every stage behind `artifacts`, then write those files.
+    """Read every stage behind `artifacts`, then write those files.
 
     The default is `report`'s six files: classification.csv (always every
     product), forecast/plan/volume/gap CSVs of the selected products and
     summary.json. backtest.csv scores `holdout_year` (default: the last
     history year). Identical inputs and config give byte-identical files.
+    Every stage except `forecasts` and `gaps` is computed before
+    `config.out_dir` is created; those two compute their first row then
+    and the rest while their file is written.
     """
     result = PipelineResult(config, holdout_year)
     reports = {}

@@ -181,6 +181,33 @@ def test_failed_write_keeps_the_previous_outputs(bundled_paths, tmp_path, monkey
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_failure_while_a_stream_is_written_keeps_the_previous_outputs(bundled_paths, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    real_gap_csv, real_forecast = reporting.gap_csv, reporting.forecast
+    writing_gaps = []
+
+    def gap_csv(gaps, fh):
+        writing_gaps.append(fh.name)
+        real_gap_csv(gaps, fh)
+
+    def forecast(*args):
+        if writing_gaps:
+            raise ValueError("forecast failed mid-stream")
+        return real_forecast(*args)
+
+    monkeypatch.setattr(reporting, "gap_csv", gap_csv)
+    monkeypatch.setattr(reporting, "forecast", forecast)
+    result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
+    monkeypatch.undo()
+    assert result.exit_code == 1
+    assert result.output == "Error: forecast failed mid-stream\n"
+    assert len(writing_gaps) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def last_line(result):
     return result.output.splitlines()[-1]
 
@@ -252,6 +279,21 @@ def test_failed_forecast_stage_creates_no_output_directory(bundled_paths, tmp_pa
     assert result.exit_code == 1
     assert last_line(result) == "Error: DG-0002: need at least 2 full years to fit seasonal indices, got 1"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[dimensioning]\nmultipler = 6\n", "unknown option [dimensioning] multipler"),
+    ("[dimension]\nmultiplier = 6\n", "unknown section [dimension]"),
+    ("[DEFAULT]\nyears = 3\n", "unknown section [DEFAULT]"),
+    ("years = 3\n", "File contains no section headers. file: '{path}', line: 1 'years = 3\\n'"),
+], ids=["option", "section", "default-section", "no-section-header"])
+def test_config_file_problems_are_one_error_line(text, problem, bundled_paths, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    result = invoke(["plan", "--all", "--config", str(config)] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.output == f"Error: bad config file {config}: {problem.format(path=config)}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -122,6 +122,16 @@ def test_gap_rows_cover_annual_and_monthly_granularity(bundled_paths, tmp_path):
         assert 0.0 <= g.service_rate <= 1.0
 
 
+def test_streamed_stages_can_be_read_twice(bundled_paths, tmp_path):
+    result = run_pipeline(make_config(bundled_paths, tmp_path / "out"))
+    gaps = list(result.gaps)
+    forecasts = list(result.forecasts)
+    assert gaps and gaps == list(result.gaps)
+    assert forecasts and forecasts == list(result.forecasts)
+    assert len(gaps) == 13 * len(result.product_ids)
+    assert len(forecasts) == 2 * len(result.product_ids)
+
+
 def test_empty_deliveries_with_catalog_yields_zero_plans(tmp_path):
     deliveries = write_csv(tmp_path / "deliveries.csv", "product_id,date,quantity", [])
     catalog = write_csv(
