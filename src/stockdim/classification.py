@@ -9,6 +9,7 @@ Class A is the strategic sample everything downstream focuses on.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_A_THRESHOLD = 0.80
 DEFAULT_B_THRESHOLD = 0.95
@@ -34,8 +35,7 @@ class CriteriaWeights:
 DEFAULT_WEIGHTS = CriteriaWeights()
 
 
-@dataclass(frozen=True)
-class ScoredProduct:
+class ScoredProduct(NamedTuple):
     product_id: str
     revenue: float
     qty_price_ratio: float
@@ -43,8 +43,7 @@ class ScoredProduct:
     score: float
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     product_id: str
     revenue: float
     qty_price_ratio: float

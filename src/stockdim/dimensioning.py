@@ -6,8 +6,8 @@ The order quantity is whatever is missing to reach that level, clamped
 at zero: a surplus is reported as OVERSTOCK, never as a negative order.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 DEFAULT_STOCK_MONTHS = 4
 
@@ -25,8 +25,7 @@ def _exact(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class StockPlan:
+class StockPlan(NamedTuple):
     """The per-product sizing chain: need, strategic level, order, status."""
 
     product_id: str

@@ -15,8 +15,9 @@ value, as `float(Fraction(...))` gives. On perfectly periodic demand the
 seasonal forecast therefore reproduces the actuals with zero error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ingestion import MonthlySeries, annual_total
 
@@ -56,8 +57,7 @@ class SeasonalProfile:
         return cls(product_id, (1,) * 12)
 
 
-@dataclass(frozen=True)
-class ForecastResult:
+class ForecastResult(NamedTuple):
     """Per-month forecast for one product, in boxes (fractional allowed)."""
 
     product_id: str
@@ -65,8 +65,7 @@ class ForecastResult:
     monthly_values: tuple
 
 
-@dataclass(frozen=True)
-class BacktestReport:
+class BacktestReport(NamedTuple):
     """Error of both forecast methods against one held-out year.
 
     MAPE skips months whose actual demand is zero; if the whole holdout
@@ -79,7 +78,7 @@ class BacktestReport:
     mae_seasonal: float
     mape_naive: float
     mape_seasonal: float
-    no_nonzero_actuals: bool = field(default=False)
+    no_nonzero_actuals: bool = False
 
 
 def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:

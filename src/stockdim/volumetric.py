@@ -9,7 +9,9 @@ boxes here, and only here, so rounding error never compounds upstream.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .dimensioning import StockPlan
 from .ingestion import CatalogEntry
@@ -47,8 +49,7 @@ class PalletSpec:
 DEFAULT_PALLET = PalletSpec()  # EUR footprint, 1.5 m usable stack height
 
 
-@dataclass(frozen=True)
-class VolumetricPlan:
+class VolumetricPlan(NamedTuple):
     product_id: str
     boxes: int
     cartons: int
@@ -101,6 +102,12 @@ def cartons_per_pallet(carton_dims, pallet: PalletSpec):
     return best_count, best_orientation
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: 400 and 400.0 keep their own orientation text
+def _carton_fit(length, width, height, pallet: PalletSpec):
+    """`cartons_per_pallet` once per carton format; a catalog has far fewer formats than products."""
+    return cartons_per_pallet((length, width, height), pallet)
+
+
 def volumetric_plan(
     stock_plan: StockPlan, entry: CatalogEntry, pallet: PalletSpec = DEFAULT_PALLET
 ) -> VolumetricPlan:
@@ -111,7 +118,7 @@ def volumetric_plan(
     """
     boxes = math.ceil(stock_plan.strategic_qty)
     cartons = cartons_needed(boxes, entry.boxes_per_carton)
-    per_pallet, orientation = cartons_per_pallet(entry.carton_dims, pallet)
+    per_pallet, orientation = _carton_fit(*entry.carton_dims, pallet)
     if cartons > 0 and per_pallet == 0:
         raise UnpalletizableError(stock_plan.product_id, entry.carton_dims, pallet)
     pallets = pallets_needed(cartons, per_pallet) if cartons > 0 else 0

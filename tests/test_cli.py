@@ -156,6 +156,36 @@ def test_unpalletizable_product_fails_with_its_name(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_quoted_product_id_reads_back_from_every_report(tmp_path):
+    ids = ("DG,9", "DG-1")
+
+    def write(name, header, rows):
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        return str(tmp_path / name)
+
+    deliveries = write("deliveries.csv", ("product_id", "date", "quantity"), [
+        (pid, f"{year}-{month:02d}", 10 * k + month)
+        for k, pid in enumerate(ids, start=1) for year in (2019, 2020, 2021) for month in (1, 6, 12)
+    ])
+    catalog = write("catalog.csv", (
+        "product_id", "name", "unit_price", "urgency", "boxes_per_carton",
+        "carton_l_mm", "carton_w_mm", "carton_h_mm",
+    ), [("DG,9", "Comma, quoted", 2.5, 1, 10, 400, 300, 200), ("DG-1", "Plain", 4.0, 0, 6, 300, 300, 300)])
+    stock = write("stock.csv", ("product_id", "on_hand"), [(pid, 5) for pid in ids])
+    out = tmp_path / "out"
+    args = ["--deliveries", deliveries, "--catalog", catalog, "--stock", stock,
+            "--start-year", "2019", "--years", "3", "--out-dir", str(out), "--all"]
+    for command in ("report", "backtest"):
+        result = invoke([command, *args])
+        assert result.exit_code == 0, result.output
+    for name in ("classification.csv", "forecast.csv", "backtest.csv", "plan.csv", "volume.csv", "gap.csv"):
+        assert {row["product_id"] for row in read_rows(out / name)} == set(ids), name
+    assert '"DG,9",' in (out / "gap.csv").read_text(encoding="utf-8")
+
+
 def test_failed_write_keeps_the_previous_outputs(bundled_paths, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0

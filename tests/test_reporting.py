@@ -1,18 +1,36 @@
 import csv
+import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import write_csv
+from stockdim import (
+    BacktestReport,
+    ClassificationResult,
+    ForecastResult,
+    ScoredProduct,
+    StockPlan,
+    VolumetricPlan,
+)
 from stockdim.ingestion import InputError
 from stockdim.reporting import (
     GAP_CSV,
     GapReport,
     PLAN_CSV,
     RunConfig,
+    backtest_csv,
+    classification_csv,
+    forecast_csv,
+    gap_csv,
     gap_kpi,
+    plan_csv,
     run_pipeline,
+    volume_csv,
 )
 
 CSV_NAMES = ("classification.csv", "forecast.csv", "plan.csv", "volume.csv", "gap.csv")
@@ -48,6 +66,53 @@ def test_gap_kpi_conventions():
         out["A"].gap = 1
     assert out["B"] == ("B", "2021", 100, 60, 40, 0.6)
     assert GapReport._fields == ("product_id", "period", "demand", "offered", "gap", "service_rate")
+
+
+@pytest.mark.parametrize("record, fields, plain", [
+    pytest.param(
+        ScoredProduct("P", 10.0, 2.5, 1, 0.75),
+        ("product_id", "revenue", "qty_price_ratio", "urgency", "score"),
+        ("P", 10.0, 2.5, 1, 0.75),
+        id="ScoredProduct",
+    ),
+    pytest.param(
+        ClassificationResult("P", 10.0, 2.5, 0.75, 1, 0.5, "A", True),
+        ("product_id", "revenue", "qty_price_ratio", "score", "rank", "cumulative_share", "abc_class", "strategic"),
+        ("P", 10.0, 2.5, 0.75, 1, 0.5, "A", True),
+        id="ClassificationResult",
+    ),
+    pytest.param(
+        ForecastResult("P", "naive", (1.5,) * 12),
+        ("product_id", "method", "monthly_values"),
+        ("P", "naive", (1.5,) * 12),
+        id="ForecastResult",
+    ),
+    pytest.param(
+        BacktestReport("P", 2021, 1.0, 2.0, 0.1, 0.2),
+        ("product_id", "holdout_year", "mae_naive", "mae_seasonal", "mape_naive", "mape_seasonal",
+         "no_nonzero_actuals"),
+        ("P", 2021, 1.0, 2.0, 0.1, 0.2, False),
+        id="BacktestReport",
+    ),
+    pytest.param(
+        StockPlan("P", Fraction(5, 2), Fraction(10), 4, Fraction(6), "UNDERSTOCK"),
+        ("product_id", "monthly_need", "strategic_qty", "on_hand", "order_qty", "status"),
+        ("P", Fraction(5, 2), Fraction(10), 4, Fraction(6), "UNDERSTOCK"),
+        id="StockPlan",
+    ),
+    pytest.param(
+        VolumetricPlan("P", 10, 1, 60, (200, 400, 300), 1, 0.024),
+        ("product_id", "boxes", "cartons", "cartons_per_pallet", "orientation", "pallets", "total_volume_m3"),
+        ("P", 10, 1, 60, (200, 400, 300), 1, 0.024),
+        id="VolumetricPlan",
+    ),
+])
+def test_output_records_are_named_tuples(record, fields, plain):
+    assert type(record)._fields == fields
+    with pytest.raises(AttributeError):
+        record.product_id = "Q"
+    assert record == plain
+    assert record[0] == "P" and tuple(record) == plain
 
 
 def test_gap_kpi_rejects_mismatched_product_sets():
@@ -198,3 +263,93 @@ def test_pipeline_respects_multiplier_override(bundled_paths, tmp_path):
     base_by_id = {p.product_id: p for p in base.plans}
     for plan in harder.plans:
         assert plan.strategic_qty == Fraction(6, 4) * base_by_id[plan.product_id].strategic_qty
+
+
+# Ids that need CSV quoting (or look as if they might), and floats whose
+# text is easy to get wrong; every render must match csv.writer's bytes.
+TRICKY_IDS = ("DG,9", 'DG"7', '"', ",", "line\nbreak", "carriage\rreturn", "crlf\r\n",
+              " padded ", "\ttab", "Ünïcødé 药品", "plain", "")
+TRICKY_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e22, 0.1, 2.0, 1 / 3)
+
+
+def _tricky(i):
+    return TRICKY_FLOATS[i % len(TRICKY_FLOATS)]
+
+
+def _csv_writer_text(header, rows):
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue()
+
+
+def _render_case(name):
+    """(render, records, reference text) for one `*_csv` function; each id appears twice."""
+    pids = list(enumerate(TRICKY_IDS * 2))
+    if name == "classification":
+        records = [
+            ClassificationResult(pid, 1.0, 2.0, _tricky(i), len(pids) - i, _tricky(i + 1), "ABC"[i % 3], i % 2 == 0)
+            for i, pid in pids
+        ]
+        header = ("product_id", "score", "rank", "cumulative_share", "abc_class", "strategic")
+        rows = [
+            (r.product_id, r.score, r.rank, r.cumulative_share, r.abc_class, "true" if r.strategic else "false")
+            for r in sorted(records, key=lambda r: r.rank)
+        ]
+        return classification_csv, records, _csv_writer_text(header, rows)
+    if name == "forecast":
+        records = [ForecastResult(pid, "seasonal", tuple(_tricky(i + k) for k in range(12))) for i, pid in pids]
+        header = ("product_id", "method") + tuple(f"m{i}" for i in range(1, 13))
+        rows = [(f.product_id, f.method) + f.monthly_values for f in records]
+        return forecast_csv, records, _csv_writer_text(header, rows)
+    if name == "backtest":
+        records = [
+            BacktestReport(pid, 2021, _tricky(i), _tricky(i + 1), _tricky(i + 2), _tricky(i + 3), i % 2 == 0)
+            for i, pid in pids
+        ]
+        header = ("product_id", "holdout_year", "mae_naive", "mae_seasonal", "mape_naive", "mape_seasonal")
+        return backtest_csv, records, _csv_writer_text(header, [r[:6] for r in records])
+    if name == "plan":
+        records = [
+            StockPlan(pid, _tricky(i), Fraction(i, 3), i, _tricky(i + 2), "UNDERSTOCK") for i, pid in pids
+        ]
+        header = ("product_id", "M", "QS", "on_hand", "QC", "status")
+        rows = [
+            (p.product_id, float(p.monthly_need), float(p.strategic_qty), p.on_hand, float(p.order_qty), p.status)
+            for p in records
+        ]
+        return plan_csv, records, _csv_writer_text(header, rows)
+    if name == "volume":
+        records = [
+            VolumetricPlan(pid, i, i + 1, 60, (400, 300.5, _tricky(i + 4)), i, _tricky(i)) for i, pid in pids
+        ]
+        header = ("product_id", "boxes", "cartons", "cartons_per_pallet", "orientation", "pallets",
+                  "total_volume_m3")
+        rows = [
+            (v.product_id, v.boxes, v.cartons, v.cartons_per_pallet, "x".join(str(d) for d in v.orientation),
+             v.pallets, v.total_volume_m3)
+            for v in records
+        ]
+        return volume_csv, records, _csv_writer_text(header, rows)
+    records = [GapReport(pid, "2021-01", i, _tricky(i), _tricky(i + 1), _tricky(i + 2)) for i, pid in pids]
+    header = ("product_id", "period", "demand", "offered", "gap", "service_rate")
+    return gap_csv, records, _csv_writer_text(header, records)
+
+
+@pytest.mark.parametrize("name", ["classification", "forecast", "backtest", "plan", "volume", "gap"])
+def test_text_renders_match_csv_writer(name):
+    render, records, expected = _render_case(name)
+    fh = io.StringIO()
+    render(records, fh)
+    assert fh.getvalue() == expected
+    assert '"DG,9"' in expected and '"DG""7"' in expected  # the quoting path is exercised
+
+
+@given(st.lists(st.tuples(
+    st.text(), st.sampled_from(("2021", "2021-12")), st.integers(), st.floats(), st.floats(), st.floats()
+)))
+def test_gap_render_matches_csv_writer_on_any_id_and_float(rows):
+    fh = io.StringIO()
+    gap_csv([GapReport(*row) for row in rows], fh)
+    assert fh.getvalue() == _csv_writer_text(GapReport._fields, rows)

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -5,7 +7,8 @@ from itertools import permutations
 import pytest
 
 from stockdim.dimensioning import StockPlan, UNDERSTOCK
-from stockdim.ingestion import CatalogEntry
+from stockdim.ingestion import CatalogEntry, parse_inputs
+from stockdim.reporting import volume_csv
 from stockdim.volumetric import (
     DEFAULT_PALLET,
     PalletSpec,
@@ -154,3 +157,31 @@ def test_ceiling_sandwich_and_pallet_count_invariants():
         pallets = pallets_needed(cartons, per_pallet)
         assert pallets * per_pallet >= cartons
         assert (pallets - 1) * per_pallet < cartons or (cartons == 0 and pallets == 0)
+
+
+def test_carton_fit_keeps_int_and_float_dimensions_apart():
+    # One process, so the remembered fit of one carton is offered to the other.
+    pallet = PalletSpec(1200, 900, 1000)  # best orientation: the carton as given
+    as_int = make_entry("I", 24, (400, 300, 200))
+    as_float = make_entry("F", 24, (400.0, 300.0, 200.0))
+    volumes = [volumetric_plan(make_plan(e.product_id, 400), e, p)
+               for p in (pallet, DEFAULT_PALLET) for e in (as_float, as_int, as_float, as_int)]
+    fh = io.StringIO()
+    volume_csv(volumes, fh)
+    orientations = [row["orientation"] for row in csv.DictReader(io.StringIO(fh.getvalue()))]
+    assert orientations == ["400.0x300.0x200.0", "400x300x200"] * 2 + ["200.0x400.0x300.0", "200x400x300"] * 2
+
+
+def test_volumetric_plan_matches_a_direct_fit_for_every_bundled_entry(bundled_paths):
+    _, entries, _ = parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+    for pallet in (DEFAULT_PALLET, PalletSpec(1000, 1000, 1000), PalletSpec(1200.5, 800, 1500)):
+        for entry in entries:
+            per_pallet, orientation = cartons_per_pallet(entry.carton_dims, pallet)
+            cartons = cartons_needed(1000, entry.boxes_per_carton)
+            length, width, height = entry.carton_dims
+            out = volumetric_plan(make_plan(entry.product_id, 1000), entry, pallet)
+            assert out == VolumetricPlan(
+                entry.product_id, 1000, cartons, per_pallet, orientation,
+                pallets_needed(cartons, per_pallet), cartons * (length * width * height * 1e-9),
+            )
+            assert [type(d) for d in out.orientation] == [type(d) for d in orientation]
