@@ -18,8 +18,8 @@ Each CSV row is one f-string, whose `{x}` writes a value as `csv.writer`
 would: a float as its shortest round-trip repr, anything else as `str`.
 That makes two runs over identical inputs byte-identical. Only a product
 id can need quoting. An id holding a comma, a double quote, CR or LF is
-written by `csv.writer` itself, once per id and file (`_IdFields`); any
-other id is written as it is.
+written by `csv.writer` itself (`_id_field`); any other id is written
+as it is.
 """
 
 import csv
@@ -171,77 +171,72 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
             offers = forecast(need, SeasonalProfile.flat(pid), METHOD_NAIVE).monthly_values
         demands = series.year_slice(year)
         yield _gap_row(pid, str(year), sum(demands), sum(offers))
-        for m, d, o in zip(months, demands, offers):  # `_gap_row`, inlined on the per-row path
-            yield GapReport(pid, m, d, o, d - o, 1.0 if d <= 0 else (d if d < o else o) / d)
+        for m, d, o in zip(months, demands, offers):
+            yield _gap_row(pid, m, d, o)
 
 
-class _IdFields(dict):
-    """Product id -> its CSV field, filled once per id and render.
+def _id_field(pid) -> str:
+    """A product id as its CSV field.
 
     Only an id can need quoting: one holding a comma, quote or line break
     is written by `csv.writer` itself, so csv's own quoting rule applies.
     """
-
-    def __missing__(self, pid):
-        field = str(pid)
-        if "," in field or '"' in field or "\r" in field or "\n" in field:
-            fh = io.StringIO()
-            csv.writer(fh, lineterminator="\n").writerow((field,))
-            field = fh.getvalue()[:-1]
-        self[pid] = field
-        return field
+    field = str(pid)
+    if "," in field or '"' in field or "\r" in field or "\n" in field:
+        fh = io.StringIO()
+        csv.writer(fh, lineterminator="\n").writerow((field,))
+        field = fh.getvalue()[:-1]
+    return field
 
 
 def classification_csv(results, fh):
-    ids = _IdFields()
     fh.write("product_id,score,rank,cumulative_share,abc_class,strategic\n")
     fh.writelines(
-        f"{ids[r.product_id]},{r.score},{r.rank},{r.cumulative_share},{r.abc_class},"
+        f"{_id_field(r.product_id)},{r.score},{r.rank},{r.cumulative_share},{r.abc_class},"
         f"{'true' if r.strategic else 'false'}\n"
         for r in sorted(results, key=lambda r: r.rank)
     )
 
 
 def forecast_csv(forecasts, fh):
-    ids = _IdFields()
     fh.write("product_id,method," + ",".join(f"m{i}" for i in range(1, 13)) + "\n")
-    fh.writelines(f"{ids[pid]},{method},{','.join(map(str, values))}\n" for pid, method, values in forecasts)
+    fh.writelines(
+        f"{_id_field(pid)},{method},{','.join(map(str, values))}\n" for pid, method, values in forecasts
+    )
 
 
 def backtest_csv(reports, fh):
-    ids = _IdFields()
     fh.write("product_id,holdout_year,mae_naive,mae_seasonal,mape_naive,mape_seasonal\n")
     fh.writelines(
-        f"{ids[r.product_id]},{r.holdout_year},{r.mae_naive},{r.mae_seasonal},"
+        f"{_id_field(r.product_id)},{r.holdout_year},{r.mae_naive},{r.mae_seasonal},"
         f"{r.mape_naive},{r.mape_seasonal}\n"
         for r in reports
     )
 
 
 def plan_csv(plans, fh):
-    ids = _IdFields()
     fh.write("product_id,M,QS,on_hand,QC,status\n")
     fh.writelines(
-        f"{ids[p.product_id]},{float(p.monthly_need)},{float(p.strategic_qty)},{p.on_hand},"
+        f"{_id_field(p.product_id)},{float(p.monthly_need)},{float(p.strategic_qty)},{p.on_hand},"
         f"{float(p.order_qty)},{p.status}\n"
         for p in plans
     )
 
 
 def volume_csv(volumes, fh):
-    ids = _IdFields()
     fh.write("product_id,boxes,cartons,cartons_per_pallet,orientation,pallets,total_volume_m3\n")
     fh.writelines(
-        f"{ids[v.product_id]},{v.boxes},{v.cartons},{v.cartons_per_pallet},"
+        f"{_id_field(v.product_id)},{v.boxes},{v.cartons},{v.cartons_per_pallet},"
         f"{'x'.join(map(str, v.orientation))},{v.pallets},{v.total_volume_m3}\n"
         for v in volumes
     )
 
 
 def gap_csv(gaps, fh):
-    ids = _IdFields()
     fh.write("product_id,period,demand,offered,gap,service_rate\n")
-    fh.writelines(f"{ids[pid]},{period},{d},{o},{gap},{rate}\n" for pid, period, d, o, gap, rate in gaps)
+    fh.writelines(
+        f"{_id_field(pid)},{period},{d},{o},{gap},{rate}\n" for pid, period, d, o, gap, rate in gaps
+    )
 
 
 def _summary_json(summary, fh):
