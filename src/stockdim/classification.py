@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .dimensioning import _decimal_ratio, _exact
+
 DEFAULT_A_THRESHOLD = 0.80
 DEFAULT_B_THRESHOLD = 0.95
 
@@ -124,21 +126,34 @@ def rank_and_cut(
     total = sum(s.score for s in ordered)
     if total == 0:
         raise ValueError("no discriminating criterion: every product scored 0")
+    # The class is chosen exactly: each score and threshold is the decimal
+    # its text reads (0.8 is 4/5, not the float just above it), and over a
+    # common denominator each score is an integer number of units. Being
+    # below a share p/q of the total is being below ceil(p * total / q)
+    # units. `cumulative_share` keeps the float running share.
+    ratios = [_decimal_ratio(s.score) for s in ordered]
+    scale = math.lcm(*(d for _, d in ratios))
+    units = [n * (scale // d) for n, d in ratios]
+    total_units = sum(units)
+    a_units, b_units = (
+        -(-t.numerator * total_units // t.denominator) for t in map(_exact, (a_threshold, b_threshold))
+    )
 
     results = []
     running = 0.0
-    for rank, item in enumerate(ordered, start=1):
+    before = 0
+    for rank, (item, unit) in enumerate(zip(ordered, units), start=1):
         # The class of an item depends on the share accumulated *before* it:
         # the item that first pushes the share past a threshold still
         # belongs to the class below that threshold (minimal-prefix rule).
-        share_before = running / total
-        running += item.score
-        if share_before < a_threshold:
+        if before < a_units:
             abc = "A"
-        elif share_before < b_threshold:
+        elif before < b_units:
             abc = "B"
         else:
             abc = "C"
+        before += unit
+        running += item.score
         results.append(
             ClassificationResult(
                 product_id=item.product_id,

@@ -20,9 +20,18 @@ STATUSES = (UNDERSTOCK, EXACT, OVERSTOCK)
 _ZERO = Fraction(0)
 
 
+def _decimal_ratio(value):
+    """`(numerator, denominator)` of the decimal that the text of `value` reads: 0.1 is 1/10."""
+    text = str(value)
+    whole, _, digits = text.partition(".")
+    if not digits.isdigit():  # an int, a Fraction or a number in e-notation
+        return Fraction(text).as_integer_ratio()
+    return int(whole + digits), 10 ** len(digits)
+
+
 def _exact(value) -> Fraction:
-    """`value` as a Fraction, without re-wrapping one that already is."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """`value` as the Fraction its decimal text reads, without re-wrapping one that already is."""
+    return value if isinstance(value, Fraction) else Fraction(*_decimal_ratio(value))
 
 
 class StockPlan(NamedTuple):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
-from .dimensioning import StockPlan
+from .dimensioning import StockPlan, _exact
 from .ingestion import CatalogEntry
 
 MM3_TO_M3 = 1e-9
@@ -82,20 +82,18 @@ def cartons_per_pallet(carton_dims, pallet: PalletSpec):
 
     Tries all six orientations (d1, d2, d3) of the carton against the
     pallet's (length, width, height) and keeps the one maximizing
-    floor(L/d1) * floor(W/d2) * floor(H/d3). Ties go to the
+    floor(L/d1) * floor(W/d2) * floor(H/d3), each quotient exact, with a
+    float read as the decimal its text shows. Ties go to the
     lexicographically smallest orientation. A count of 0 means the
     carton fits in no orientation and is reportable, not an error.
     """
     if len(carton_dims) != 3 or any(not d > 0 for d in carton_dims):
         raise ValueError("carton dimensions must be three positive numbers")
+    length, width, height = map(_exact, (pallet.usable_length, pallet.usable_width, pallet.usable_height))
     best_count = -1
     best_orientation = None
     for d1, d2, d3 in sorted(set(permutations(carton_dims))):
-        count = (
-            int(pallet.usable_length // d1)
-            * int(pallet.usable_width // d2)
-            * int(pallet.usable_height // d3)
-        )
+        count = (length // _exact(d1)) * (width // _exact(d2)) * (height // _exact(d3))
         if count > best_count:
             best_count = count
             best_orientation = (d1, d2, d3)

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,11 @@ def tiny_inputs(tmp_path):
         [("P1", 20), ("P2", 0)],
     )
     return {"deliveries": deliveries, "catalog": catalog, "stock": stock}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let `write_reports` fork its writer child, also on a machine of one CPU."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork does not exist here")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -83,6 +83,35 @@ def test_acceptance_2_pareto_minimality():
     print("ACCEPTANCE 2 PASS: class A is the minimal >=0.80 prefix on 500 random score vectors")
 
 
+def exact_classes(scores, a_threshold, b_threshold):
+    """ABC classes by exact shares: each score and threshold is the decimal its text reads."""
+    exact = sorted((Fraction(repr(s)) for s in scores), reverse=True)
+    total = sum(exact)
+    a, b = Fraction(str(a_threshold)) * total, Fraction(str(b_threshold)) * total
+    before, classes = Fraction(0), []
+    for score in exact:
+        classes.append("A" if before < a else "B" if before < b else "C")
+        before += score
+    return classes
+
+
+def test_acceptance_2_class_cut_matches_an_exact_oracle():
+    # 15 products scored 0.1 each: 12/15 is exactly 4/5, so rank 13 is B.
+    items = [ScoredProduct(f"P{i:02d}", 0.0, 0.0, 0, 0.1) for i in range(15)]
+    assert [r.abc_class for r in rank_and_cut(items)] == ["A"] * 12 + ["B"] * 3
+
+    cases = [([s] * n, 0.80, 0.95) for s in (0.1, 0.3, 0.6, 0.7, 0.9) for n in range(2, 200)]
+    rnd = random.Random(2020)
+    for _ in range(500):  # a few short decimals make shares equal to a threshold common
+        scores = [rnd.choice((0.1, 0.2, 0.3, 0.5, 0.7, 1.1)) for _ in range(rnd.randint(1, 30))]
+        a = rnd.choice((0.5, 0.6, 0.7, 0.8, 0.9))
+        cases.append((scores, a, rnd.choice((a, 0.9, 0.95, 1.0))))
+    for scores, a, b in cases:
+        items = [ScoredProduct(f"P{i:03d}", 0.0, 0.0, 0, s) for i, s in enumerate(scores)]
+        assert [r.abc_class for r in rank_and_cut(items, a, b)] == exact_classes(scores, a, b)
+    print(f"ACCEPTANCE 2 PASS: ABC classes match exact shares on {len(cases)} score vectors")
+
+
 def test_acceptance_3_seasonal_profile_normalization():
     rnd = random.Random(3003)
     for _ in range(500):

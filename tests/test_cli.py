@@ -1,7 +1,12 @@
 import builtins
 import csv
+import gc
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -355,3 +360,120 @@ def test_single_artifact_subcommands_run_only_their_stages(args, unused, bundled
         monkeypatch.setattr(reporting, name, must_not_run)
     result = invoke(args + base_args(bundled_paths, tmp_path))
     assert result.exit_code == 0, result.exception
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_failure_in_the_writer_child_keeps_the_previous_outputs(bundled_paths, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    real_forecast, parent = reporting.forecast, os.getpid()
+
+    def forecast(*args):  # forecast.csv is rendered by the writer child
+        if os.getpid() != parent:
+            raise ValueError("forecast failed in the writer")
+        return real_forecast(*args)
+
+    monkeypatch.setattr(reporting, "forecast", forecast)
+    result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
+    monkeypatch.undo()
+    assert result.exit_code == 1
+    assert result.output == "Error: forecast failed in the writer\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("child_render, child_file, reported", [
+    ("forecast_csv", "forecast.csv", "forecast.csv failed"),
+    ("_summary_json", "summary.json", "gap.csv failed"),
+], ids=["child-file-first", "parent-file-first"])
+def test_the_earliest_failed_file_is_reported(child_render, child_file, reported, bundled_paths, tmp_path,
+                                             monkeypatch):
+    def failing(name):  # gap.csv is rendered by this process, the others by the writer child
+        def render(rows, fh):
+            raise ValueError(f"{name} failed")
+        return render
+
+    monkeypatch.setattr(reporting, child_render, failing(child_file))
+    monkeypatch.setattr(reporting, "gap_csv", failing("gap.csv"))
+    result = invoke(["report", "--all"] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.output == f"Error: {reported}\n"
+    assert list((tmp_path / "out").iterdir()) == []
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_a_forked_run_reaps_its_child_and_keeps_the_freeze_count(caller_froze, bundled_paths, tmp_path,
+                                                                  monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    if caller_froze:
+        gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        result = invoke(["report", "--all"] + base_args(bundled_paths, tmp_path))
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert result.exit_code == 0, result.output
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("command", ["classify", "forecast", "backtest", "plan", "volume"])
+def test_single_artifact_subcommands_never_fork(command, bundled_paths, tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError(f"`{command}` forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    result = invoke([command, "--all"] + base_args(bundled_paths, tmp_path))
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("platform", ["no-fork", "failing-fork", "one-cpu"])
+def test_report_in_one_process_writes_the_pinned_bytes(platform, bundled_paths, tmp_path, monkeypatch):
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    def must_not_fork():
+        raise AssertionError("forked with one CPU to run on")
+
+    if platform == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif platform == "failing-fork":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", must_not_fork)
+    frozen = gc.get_freeze_count()
+    result = invoke(["report", "--all"] + base_args(bundled_paths, tmp_path))
+    assert result.exit_code == 0, result.output
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert hashes == GOLDEN[("report", "--all")]
+    assert gc.get_freeze_count() == frozen
+
+
+def test_importing_the_cli_loads_no_pickle_or_process_pool_module():
+    # Every CLI call starts a fresh interpreter, so each module imported at
+    # start-up costs every call; the writer child imports pickle on failure only.
+    code = ("import sys, stockdim.cli; "
+            "print(*[m for m in ('pickle', 'multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == ""

@@ -30,6 +30,13 @@ def test_strategic_stock_horizon_is_configurable():
         strategic_stock(-1)
 
 
+def test_a_float_multiplier_is_its_decimal_value():
+    assert strategic_stock(10, months=0.1) == 1
+    assert strategic_stock(Fraction(7, 3), months=2.5) == Fraction(35, 6)
+    (plan,) = plan_products({"P": Fraction(10)}, {"P": 1}, 0.1)
+    assert (plan.strategic_qty, plan.order_qty, plan.status) == (1, 0, EXACT)
+
+
 def test_order_quantity_examples():
     assert order_quantity(400, 150) == (250, UNDERSTOCK)
     assert order_quantity(400, 400) == (0, EXACT)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,9 @@ from stockdim.reporting import (
     plan_csv,
     run_pipeline,
     volume_csv,
+    write_reports,
 )
+from stockdim.volumetric import DEFAULT_PALLET, UnpalletizableError
 
 CSV_NAMES = ("classification.csv", "forecast.csv", "plan.csv", "volume.csv", "gap.csv")
 
@@ -353,3 +356,70 @@ def test_gap_render_matches_csv_writer_on_any_id_and_float(rows):
     fh = io.StringIO()
     gap_csv([GapReport(*row) for row in rows], fh)
     assert fh.getvalue() == _csv_writer_text(GapReport._fields, rows)
+
+
+class TwoArgumentError(ValueError):
+    def __init__(self, product_id, size):
+        super().__init__(f"{product_id} does not fit {size}")
+
+
+def write_lines(rows, fh):
+    fh.writelines(rows)
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("error", [
+    UnpalletizableError("DG-1", (900, 900, 900), DEFAULT_PALLET),
+    TwoArgumentError("DG-1", 900),
+    OSError(28, "No space left on device", "a.csv"),
+    ValueError("bad row"),
+], ids=lambda error: type(error).__name__)
+def test_a_writer_child_failure_keeps_its_type_and_message(error, tmp_path):
+    # With two streamed files, the writer child renders all but the last.
+    def fail(rows, fh):
+        raise error
+
+    with pytest.raises(type(error)) as raised:
+        write_reports(tmp_path, {"a.csv": (fail, iter(["a\n"])), "b.csv": (write_lines, iter(["b\n"]))})
+    assert str(raised.value) == str(error)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_a_writer_child_failure_of_a_local_type_fails_the_run(tmp_path):
+    class LocalError(Exception):  # pickle cannot name this type, so the child exits 1
+        pass
+
+    def fail(rows, fh):
+        raise LocalError("no pickle")
+
+    with pytest.raises(ChildProcessError, match="exited with status 1"):
+        write_reports(tmp_path, {"a.csv": (fail, iter(["a\n"])), "b.csv": (write_lines, iter(["b\n"]))})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_a_writer_child_that_dies_fails_the_run(tmp_path):
+    def die(rows, fh):
+        os._exit(3)
+
+    with pytest.raises(ChildProcessError, match="exited with status 3"):
+        write_reports(tmp_path, {"a.csv": (die, iter(["a\n"])), "b.csv": (write_lines, iter(["b\n"]))})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_streamed_files_render_in_two_processes_into_one_commit(tmp_path):
+    pids = {}
+
+    def render(rows, fh):
+        pids[os.path.basename(fh.name)] = os.getpid()  # lost where the child renders
+        fh.write(f"{''.join(rows)} {os.getpid() == parent}\n")
+
+    parent = os.getpid()
+    files = write_reports(tmp_path, {
+        "a.csv": (render, iter(["a"])), "b.csv": (render, ["b"]), "c.csv": (render, iter(["c"])),
+    })
+    assert sorted(files) == ["a.csv", "b.csv", "c.csv"]
+    assert [(tmp_path / name).read_text() for name in files] == ["a False\n", "b False\n", "c True\n"]
+    assert pids == {"c.csv": parent}

@@ -185,3 +185,15 @@ def test_volumetric_plan_matches_a_direct_fit_for_every_bundled_entry(bundled_pa
                 pallets_needed(cartons, per_pallet), cartons * (length * width * height * 1e-9),
             )
             assert [type(d) for d in out.orientation] == [type(d) for d in orientation]
+
+
+def test_decimal_dimensions_fit_exactly():
+    # Cube cartons of side t/10 mm, as decimal text, on cube pallets k times
+    # their side: float floor division came out short on 5,999 of these 19,996.
+    assert cartons_per_pallet((100.2,) * 3, PalletSpec(501.0, 501.0, 501.0)) == (125, (100.2,) * 3)
+    for t in range(1001, 6000):
+        side = float(f"{t // 10}.{t % 10}")
+        for k in (2, 3, 5, 7):
+            pallet_side = float(f"{k * t // 10}.{k * t % 10}")
+            pallet = PalletSpec(pallet_side, pallet_side, pallet_side)
+            assert cartons_per_pallet((side,) * 3, pallet) == (k**3, (side,) * 3), (side, pallet_side)
