@@ -13,9 +13,12 @@ the output directory, moves each into place with `os.replace` and
 removes the temporary directory, also on failure. Where `os.fork`
 exists, the process may run on two or more CPUs and two or more files
 are streamed (`report`: forecast.csv and gap.csv), one forked writer
-child renders every file but gap.csv while this process renders
-gap.csv; the error raised is that of the earliest file in order that
-failed, as in one process. A failed run thus
+child renders the files before gap.csv while this process renders
+gap.csv and summary.json; the error raised is that of the earliest file
+in order that failed, as in one process. `parse_inputs` may likewise
+fold the first half of a large delivery file in a forked child (see
+`ingestion`); its results and errors are those of one process. A failed
+run thus
 keeps the previous outputs; as the commit is one rename per file, only
 a crash or failed rename between two of them can leave the set mixed.
 Rows are emitted in product_id order (classification in rank order).
@@ -58,6 +61,7 @@ from .forecasting import (
     forecast,
     monthly_need,
 )
+from .forking import _can_fork, _in_two
 from .ingestion import aggregate_monthly, parse_inputs, resolve_on_hand
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
 
@@ -250,96 +254,10 @@ def _summary_json(summary, fh):
 
 
 def _render_all(jobs):
-    """Render and close each `(index, render, rows, fh)` job in order.
-
-    Stops at the first failure and returns it as `(index, exception)`.
-    """
-    for index, render, rows, fh in jobs:
-        try:
-            with fh:
-                render(rows, fh)
-        except Exception as exc:
-            return index, exc
-    return None
-
-
-def _pickled_failure(index, exc) -> bytes:
-    import pickle
-
-    try:
-        data = pickle.dumps((index, exc))
-        pickle.loads(data)  # fails where `__init__` does not take the exception's own args
-        return data
-    except Exception:
-        return pickle.dumps((index, type(exc), str(exc)))
-
-
-def _unpickled_failure(data):
-    import pickle
-
-    index, exc, *message = pickle.loads(data)
-    if message:  # a type and its message: build the exception without its __init__
-        exc = exc.__new__(exc)
-        exc.args = tuple(message)
-    return index, exc
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: a forked child overlaps nothing on one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _render_in_two(jobs, own):
-    """Render job `own` here and the others in one forked writer child.
-
-    Returns the first failure in file order, as `_render_all` does. The
-    child sends its failure through a pipe and ends with `os._exit`: it
-    never returns, flushes no stdio and runs no cleanup. Frozen objects
-    (`gc.freeze`) are not walked, and so not copied, by either process's
-    collections. If no process can be forked, all jobs are rendered here.
-    """
-    import gc
-
-    others = [job for job in jobs if job is not own]
-    froze = not gc.get_freeze_count()
-    read_end, write_end = os.pipe()
-    if froze:
-        gc.freeze()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        if froze:
-            gc.unfreeze()
-        return _render_all(jobs)
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            failure = _render_all(others)
-            data = _pickled_failure(*failure) if failure else b""
-            while data:
-                data = data[os.write(write_end, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    try:
-        failures = [_render_all([own])]
-        data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))
-    finally:
-        os.close(read_end)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if froze:
-            gc.unfreeze()
-    if data:
-        failures.append(_unpickled_failure(data))
-    elif code:
-        failures.append((others[0][0], ChildProcessError(f"the report writer exited with status {code}")))
-    return min(filter(None, failures), key=lambda failure: failure[0], default=None)
+    """Render and close each `(render, rows, fh)` job in order."""
+    for render, rows, fh in jobs:
+        with fh:
+            render(rows, fh)
 
 
 def write_reports(out_dir, reports) -> dict:
@@ -348,29 +266,29 @@ def write_reports(out_dir, reports) -> dict:
     `reports` maps a file name to `(render, rows)`, and `render(rows, fh)`
     writes that file. Returns the final path of every file. Every file is
     opened first. With two or more streamed files (whose `rows` is an
-    iterator), `os.fork` at hand and two or more CPUs to run on, a forked
-    writer child renders all but the last streamed file, which this
-    process renders meanwhile, so a `render` in the child changes nothing
-    in this process; otherwise this process renders all, in order. Either
-    way the error raised is that of the earliest file that failed.
+    iterator) and `forking._can_fork()`, a forked writer child renders the
+    files before the last streamed one while this process renders that
+    file and the rest (`forking._in_two`), so a `render` in the child
+    changes nothing in this process; otherwise this process renders all,
+    in order. Either way the error raised is that of the earliest file
+    that failed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".stockdim-", dir=out_dir) as tmp:
         jobs = []
         try:
-            for index, (name, (render, rows)) in enumerate(reports.items()):
-                jobs.append((index, render, rows, open(os.path.join(tmp, name), "w", encoding="utf-8")))
-            streamed = [job for job in jobs if iter(job[2]) is job[2]]
-            if len(streamed) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-                failure = _render_all(jobs)
+            for name, (render, rows) in reports.items():
+                jobs.append((render, rows, open(os.path.join(tmp, name), "w", encoding="utf-8")))
+            streamed = [index for index, job in enumerate(jobs) if iter(job[1]) is job[1]]
+            if len(streamed) < 2 or not _can_fork():
+                _render_all(jobs)
             else:
-                failure = _render_in_two(jobs, streamed[-1])
+                own = streamed[-1]
+                _in_two(lambda: _render_all(jobs[:own]), lambda: _render_all(jobs[own:]))
         finally:
             for job in jobs:
-                job[3].close()
-        if failure:
-            raise failure[1]
+                job[2].close()
         files = {name: out_dir / name for name in reports}
         for name, path in files.items():
             os.replace(os.path.join(tmp, name), path)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from stockdim import ingestion
+
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -51,9 +53,32 @@ def tiny_inputs(tmp_path):
     return {"deliveries": deliveries, "catalog": catalog, "stock": stock}
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per `os.fork` call, which still forks."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let `write_reports` fork its writer child, also on a machine of one CPU."""
+    """Let `write_reports` and `parse_inputs` fork, also on a machine of one CPU."""
     if not hasattr(os, "fork"):
         pytest.skip("os.fork does not exist here")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def split_fold(two_cpus, monkeypatch):
+    """Let `parse_inputs` fold even a small delivery file in two processes."""
+    monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import write_csv
-from stockdim import reporting
+from conftest import assert_no_child_left, count_forks, write_csv
+from stockdim import ingestion, reporting
 from stockdim.cli import main
 from test_parity import GOLDEN
 
@@ -362,11 +362,6 @@ def test_single_artifact_subcommands_run_only_their_stages(args, unused, bundled
     assert result.exit_code == 0, result.exception
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.usefixtures("two_cpus")
 def test_failure_in_the_writer_child_keeps_the_previous_outputs(bundled_paths, tmp_path, monkeypatch):
     out = tmp_path / "out"
@@ -477,3 +472,42 @@ def test_importing_the_cli_loads_no_pickle_or_process_pool_module():
     env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout.strip() == ""
+
+
+@pytest.mark.usefixtures("split_fold")
+def test_a_fold_child_that_dies_fails_the_run_before_the_output_directory(bundled_paths, tmp_path, monkeypatch):
+    real_fold_rows, parent = ingestion._fold_rows, os.getpid()
+
+    def fold_rows(*args):  # the child folds the first half of the delivery file
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_fold_rows(*args)
+
+    monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
+    result = invoke(["report"] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.output == "Error: the forked child process exited with status 3\n"
+    assert not (tmp_path / "out").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("split_fold")
+def test_report_forks_to_fold_and_to_write(bundled_paths, tmp_path, monkeypatch):
+    forks = count_forks(monkeypatch)
+    result = invoke(["report"] + base_args(bundled_paths, tmp_path))
+    assert result.exit_code == 0, result.output
+    assert len(forks) == 2
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert hashes == GOLDEN[("report",)]
+    assert_no_child_left()
+
+
+def test_inputs_with_a_byte_order_mark_write_the_pinned_bytes(bundled_paths, tmp_path):
+    marked = {}
+    for name, path in bundled_paths.items():
+        marked[name] = tmp_path / path.name
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    result = invoke(["report"] + base_args(marked, tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert hashes == GOLDEN[("report",)]

@@ -1,7 +1,12 @@
+import csv
+import gc
+import os
+
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stockdim import ingestion
 from stockdim.ingestion import (
     InputError,
     MonthlySeries,
@@ -12,7 +17,7 @@ from stockdim.ingestion import (
     resolve_on_hand,
 )
 
-from conftest import write_csv
+from conftest import assert_no_child_left, count_forks, write_csv
 
 PRODUCTS = ("A", "B", "C", "P1")
 
@@ -266,3 +271,151 @@ def test_uncataloged_products_are_reported_once_files_parse_cleanly(tiny_inputs,
         f"{deliveries}:5: product 'GHOST' not in catalog",
         f"{stock}:4: product 'PHANTOM' not in catalog",
     ])
+
+
+def ordered(fold):
+    """A `_fold_deliveries` result with each dict as its list of items, so that key order counts."""
+    history, *rest = fold
+    return [(pid, list(totals.items())) for pid, totals in history.items()], *rest
+
+
+def fold_in_one_process(path, catalog):
+    """The delivery loop over a text file read as csv, the way one process folds it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        return ingestion._fold_rows(rows, 2, path, catalog)
+
+
+def write_deliveries(path, text):
+    path.write_bytes(("product_id,date,quantity\n" + text).encode("utf-8"))
+    return path
+
+
+CATALOG = {pid: None for pid in PRODUCTS}
+VALID_ROWS = st.builds("{},{},{}".format, st.sampled_from(["A", "B", " C ", "P1", "GHOST"]),
+                       st.sampled_from(["2020-01", "2020-02-03", " 2021-12 "]), st.integers(0, 99))
+ANY_ROWS = st.lists(st.sampled_from(["A", "", "GHOST", "2020-13", "2020-x", "5", "-1", "x"]),
+                    max_size=4).map(",".join)  # blank lines and 1, 2, 3 and 4 fields
+PLAIN_LINES = st.tuples(st.one_of(VALID_ROWS, ANY_ROWS), st.sampled_from(["\n", "\r\n"])).map("".join)
+QUOTED_OR_CR_LINES = st.one_of(
+    PLAIN_LINES,
+    st.sampled_from(['"A",2020-01,3\n', '"A\nB",2020-01,3\n', '"B\r\n",2020-01,1\r\n', "A,2020-04,2\r"]),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(PLAIN_LINES, max_size=40), st.lists(QUOTED_OR_CR_LINES, max_size=10), st.booleans())
+def test_a_split_fold_gives_what_one_process_gives(split_fold, tmp_path_factory, plain, tail, final_newline):
+    text = "".join(plain + tail)
+    if not final_newline:
+        text = text.rstrip("\r\n")
+    path = write_deliveries(tmp_path_factory.mktemp("d") / "deliveries.csv", text)
+    assert ordered(ingestion._fold_deliveries(path, CATALOG)) == ordered(fold_in_one_process(path, CATALOG))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("first_half, second_half, forked", [
+    ("A,2020-01,1\r\nGHOST,2020-02,2\r\n" * 20, 'B,2020-03,3\n"GHOST",2020-04,4\r\n' * 20, True),
+    ('"A",2020-01,1\n' + "B,2020-02,2\n" * 40, "A,2020-03,3\n" * 40, False),
+    ("A,2020-01,1\rB,2020-02,2\n" * 20, "A,2020-03,3\n" * 40, False),
+    ("A,2020-01," + "0" * 300 + "1\n", "B,2021-02,2", True),  # the second half is a last line with no end
+    ("A,2020-01,1\n" * 2, "B,2021-02," + "0" * 300 + "2\n", True),  # the split lands on the end of the file
+], ids=["quote-in-second-half", "quote-in-first-half", "lone-cr-in-first-half", "last-line", "end-of-file"])
+def test_the_fold_splits_only_where_every_line_end_ends_a_row(first_half, second_half, forked, split_fold,
+                                                             tmp_path, monkeypatch):
+    forks = count_forks(monkeypatch)
+    path = write_deliveries(tmp_path / "deliveries.csv", first_half + second_half)
+    assert ordered(ingestion._fold_deliveries(path, CATALOG)) == ordered(fold_in_one_process(path, CATALOG))
+    assert len(forks) == forked
+
+
+@pytest.mark.parametrize("platform", ["failing-fork", "one-cpu"])
+def test_the_fold_without_a_child_gives_the_split_result(platform, split_fold, bundled_paths, monkeypatch):
+    forks = count_forks(monkeypatch)
+    split = parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+    assert len(forks) == 1
+    if platform == "failing-fork":
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU to run on"))
+    history, entries, snapshots = parse_inputs(
+        bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+    assert ordered((history,)) == ordered((split[0],))
+    assert (entries, snapshots) == split[1:]
+
+
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_a_split_fold_reaps_its_child_and_keeps_the_freeze_count(caller_froze, split_fold, bundled_paths,
+                                                                 monkeypatch):
+    forks = count_forks(monkeypatch)
+    if caller_froze:
+        gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def copy_with_byte(source, target, offset, byte):
+    data = bytearray(source.read_bytes())
+    data[offset] = byte
+    target.write_bytes(bytes(data))
+    return target
+
+
+@pytest.mark.parametrize("name, offset", [
+    ("deliveries", 30000), ("catalog", 1000), ("stock", 300),
+])
+def test_bytes_that_are_not_utf8_are_named_by_file_and_offset(name, offset, bundled_paths, tmp_path):
+    paths = dict(bundled_paths)
+    paths[name] = copy_with_byte(bundled_paths[name], tmp_path / f"{name}.csv", offset, 0xFF)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"])
+    assert str(exc.value) == f"{paths[name]}: cannot read file (invalid UTF-8 at byte {offset}: invalid start byte)"
+
+
+def deliveries_of_five_bundled_copies(bundled_paths, path):
+    """A delivery file of about 200 KB, so that its first half goes past the first 64 KiB read."""
+    header, _, body = bundled_paths["deliveries"].read_text(encoding="utf-8").partition("\n")
+    path.write_text(header + "\n" + body * 5, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("offset", [70000, 150000], ids=["child-half", "parent-half"])
+def test_a_split_fold_names_bytes_that_are_not_utf8_as_one_process_does(offset, split_fold, bundled_paths,
+                                                                        tmp_path, monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    copy_with_byte(path, path, offset, 0xFF)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"])
+    assert str(exc.value) == f"{path}: cannot read file (invalid UTF-8 at byte {offset}: invalid start byte)"
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_os_error_in_the_fold_child_keeps_its_type_and_message(split_fold, bundled_paths, tmp_path,
+                                                                  monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    real_pread, parent = os.pread, os.getpid()
+
+    def pread(fd, n, offset):  # the child reads its half with os.pread
+        if os.getpid() != parent:
+            raise OSError(5, "Input/output error")
+        return real_pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", pread)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"])
+    assert str(exc.value) == f"{path}: cannot read file ([Errno 5] Input/output error)"
+    assert len(forks) == 1
+    assert_no_child_left()
