@@ -330,6 +330,17 @@ def test_the_fold_splits_only_where_every_line_end_ends_a_row(first_half, second
     assert len(forks) == forked
 
 
+def test_a_crlf_across_two_reads_ends_one_line(tmp_path):
+    header = "product_id,date,quantity\r\n"
+    spaces = ingestion._CHUNK - 1 - len(header) - len("A,2020-01,1")  # puts the row's CR last in the first read
+    path = tmp_path / "deliveries.csv"
+    path.write_bytes(f"{header}A,{' ' * spaces}2020-01,1\r\nB,2020-13,1\r\nGHOST,2020-02,2\r\n".encode())
+    assert path.read_bytes()[ingestion._CHUNK - 1:ingestion._CHUNK + 1] == b"\r\n"
+    fold = ingestion._fold_deliveries(path, CATALOG)
+    assert ordered(fold) == ordered(fold_in_one_process(path, CATALOG))
+    assert fold[1:] == ([(4, "GHOST")], [], [f"{path}:3: bad date '2020-13', month must be 1..12"])
+
+
 @pytest.mark.parametrize("platform", ["failing-fork", "one-cpu"])
 def test_the_fold_without_a_child_gives_the_split_result(platform, split_fold, bundled_paths, monkeypatch):
     forks = count_forks(monkeypatch)
