@@ -9,7 +9,7 @@ import os
 
 
 def _can_fork() -> bool:
-    """Whether `_in_two` forks: `os.fork` exists and this process may run on two CPUs."""
+    """Whether a forked child can run alongside: `os.fork` exists and two CPUs are usable."""
     if not hasattr(os, "fork"):
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

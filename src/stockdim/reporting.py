@@ -15,12 +15,12 @@ exists, the process may run on two or more CPUs and two or more files
 are streamed (`report`: forecast.csv and gap.csv), one forked writer
 child renders the files before gap.csv while this process renders
 gap.csv and summary.json; the error raised is that of the earliest file
-in order that failed, as in one process. `parse_inputs` may likewise
-fold the first half of a large delivery file in a forked child (see
-`ingestion`); its results and errors are those of one process. A failed
-run thus
+in order that failed, as in one process. A failed run thus
 keeps the previous outputs; as the commit is one rename per file, only
 a crash or failed rename between two of them can leave the set mixed.
+`parse_inputs` may likewise fold the first half of a large delivery file
+in a forked child (see `ingestion`), with the results and errors of one
+process.
 Rows are emitted in product_id order (classification in rank order).
 Each CSV row is one f-string, whose `{x}` writes a value as `csv.writer`
 would: a float as its shortest round-trip repr, anything else as `str`.
