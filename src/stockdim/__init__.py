@@ -31,6 +31,7 @@ from .forecasting import (
     backtest,
     fit_seasonal_indices,
     forecast,
+    forecast_year,
     monthly_need,
 )
 from .ingestion import (

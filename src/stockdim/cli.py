@@ -1,11 +1,11 @@
 """Command line interface: classify, forecast, backtest, plan, volume, report.
 
-Each subcommand only names the files it writes; `run_pipeline` computes
-the stages they need. `_SETTINGS` gives every setting its flag, INI
-option (--config) and default; flags override the file, which overrides
-the defaults. Output goes into --out-dir with exit code 0; any validation
-or input error, a non-finite number included, prints a single-line
-`Error: ...` and exits nonzero.
+Each subcommand is one row of `_COMMANDS`, which names the files it
+writes; `run_pipeline` computes the stages they need. `_SETTINGS` gives
+every setting its flag, INI option (--config) and default; flags
+override the file, which overrides the defaults. Output goes into
+--out-dir with exit code 0; any validation or input error, a non-finite
+number included, prints a single-line `Error: ...` and exits nonzero.
 """
 
 import configparser
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from .classification import DEFAULT_A_THRESHOLD, DEFAULT_B_THRESHOLD, CriteriaWeights
+from .classification import DEFAULT_A_THRESHOLD, DEFAULT_B_THRESHOLD, DEFAULT_WEIGHTS, CriteriaWeights
 from .dimensioning import DEFAULT_STOCK_MONTHS
 from .reporting import (
     BACKTEST_CSV,
@@ -27,7 +27,7 @@ from .reporting import (
     RunConfig,
     run_pipeline,
 )
-from .volumetric import PalletSpec
+from .volumetric import DEFAULT_PALLET, PalletSpec
 
 # (key, INI section, INI option, type, default, help) of every setting.
 # The flag is the key with dashes. A setting without a default is
@@ -43,26 +43,23 @@ _SETTINGS = (
      "Year being planned (default: first year after the window)."),
     ("multiplier", "dimensioning", "multiplier", float, float(DEFAULT_STOCK_MONTHS),
      f"Months of strategic coverage (default: {DEFAULT_STOCK_MONTHS})."),
-    ("w_revenue", "classification", "w_revenue", float, 0.5, "Weight of the revenue criterion."),
-    ("w_ratio", "classification", "w_ratio", float, 0.3, "Weight of the quantity-price ratio."),
-    ("w_urgency", "classification", "w_urgency", float, 0.2, "Weight of the urgency flag."),
+    ("w_revenue", "classification", "w_revenue", float, DEFAULT_WEIGHTS.w_revenue,
+     "Weight of the revenue criterion."),
+    ("w_ratio", "classification", "w_ratio", float, DEFAULT_WEIGHTS.w_ratio,
+     "Weight of the quantity-price ratio."),
+    ("w_urgency", "classification", "w_urgency", float, DEFAULT_WEIGHTS.w_urgency,
+     "Weight of the urgency flag."),
     ("a_threshold", "classification", "a_threshold", float, DEFAULT_A_THRESHOLD,
      "Cumulative share ending class A."),
     ("b_threshold", "classification", "b_threshold", float, DEFAULT_B_THRESHOLD,
      "Cumulative share ending class B."),
-    ("pallet_l", "pallet", "length_mm", float, 1200.0, "Usable pallet length in mm."),
-    ("pallet_w", "pallet", "width_mm", float, 800.0, "Usable pallet width in mm."),
-    ("pallet_h", "pallet", "height_mm", float, 1500.0, "Usable pallet height in mm."),
+    ("pallet_l", "pallet", "length_mm", float, float(DEFAULT_PALLET.usable_length),
+     "Usable pallet length in mm."),
+    ("pallet_w", "pallet", "width_mm", float, float(DEFAULT_PALLET.usable_width),
+     "Usable pallet width in mm."),
+    ("pallet_h", "pallet", "height_mm", float, float(DEFAULT_PALLET.usable_height),
+     "Usable pallet height in mm."),
 )
-
-
-def _options(command):
-    command = click.option("--all", "include_all", is_flag=True, default=False,
-                           help="Work on every product, not just the strategic class A sample.")(command)
-    command = click.option("--config", "config_file", type=str, help="INI config file.")(command)
-    for key, _, _, kind, _, help_text in reversed(_SETTINGS):
-        command = click.option(f"--{key.replace('_', '-')}", key, type=kind, help=help_text)(command)
-    return command
 
 
 def _unknown_entry(parser):
@@ -134,64 +131,49 @@ def _build_config(params) -> RunConfig:
     )
 
 
-def _run(params, artifacts, holdout_year=None):
-    """Run the pipeline for `artifacts` and list the files written."""
-    try:
-        files = run_pipeline(_build_config(params), artifacts, holdout_year).files
-    except (ValueError, OSError) as exc:  # InputError and UnpalletizableError included
-        raise click.ClickException(str(exc))
-    for path in files.values():
-        click.echo(f"wrote {path}")
-
-
 @click.group()
 def main():
     """Dimension a distributor's strategic stock from delivery history."""
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
 
 
-@main.command()
-@_options
-def classify(**params):
-    """Score, rank, and ABC-classify every cataloged product."""
-    _run(params, (CLASSIFICATION_CSV,))
+# (name, files written, help line) of every subcommand.
+_COMMANDS = (
+    ("classify", (CLASSIFICATION_CSV,), "Score, rank, and ABC-classify every cataloged product."),
+    ("forecast", (FORECAST_CSV,), "Forecast the target year per month, flat and seasonal."),
+    ("backtest", (BACKTEST_CSV,), "Score flat vs seasonal forecasts against a held-out year."),
+    ("plan", (PLAN_CSV,), "Size the strategic stock and the order quantity per product."),
+    ("volume", (VOLUME_CSV,), "Convert strategic quantities into cartons, pallets, and volume."),
+    ("report", REPORT, "Run the whole pipeline and write every report plus summary.json."),
+)
 
 
-@main.command()
-@_options
-def forecast(**params):
-    """Forecast the target year per month, flat and seasonal."""
-    _run(params, (FORECAST_CSV,))
+def _command(name, artifacts, help_text):
+    """Add the subcommand `name`: run the pipeline for `artifacts` and list the files written."""
+
+    def run(holdout_year=None, **params):
+        try:
+            files = run_pipeline(_build_config(params), artifacts, holdout_year).files
+        except (ValueError, OSError) as exc:  # InputError and UnpalletizableError included
+            raise click.ClickException(str(exc))
+        for path in files.values():
+            click.echo(f"wrote {path}")
+
+    options = [
+        click.Option([f"--{key.replace('_', '-')}", key], type=kind, help=text)
+        for key, _, _, kind, _, text in _SETTINGS
+    ]
+    options.append(click.Option(["--config", "config_file"], type=str, help="INI config file."))
+    options.append(click.Option(["--all", "include_all"], is_flag=True, default=False,
+                                help="Work on every product, not just the strategic class A sample."))
+    main.add_command(click.Command(name, callback=run, params=options, help=help_text))
 
 
-@main.command()
-@_options
-@click.option("--holdout-year", type=int, default=None,
-              help="Held-out year to score against (default: last window year).")
-def backtest(holdout_year, **params):
-    """Score flat vs seasonal forecasts against a held-out year."""
-    _run(params, (BACKTEST_CSV,), holdout_year)
-
-
-@main.command()
-@_options
-def plan(**params):
-    """Size the strategic stock and the order quantity per product."""
-    _run(params, (PLAN_CSV,))
-
-
-@main.command()
-@_options
-def volume(**params):
-    """Convert strategic quantities into cartons, pallets, and volume."""
-    _run(params, (VOLUME_CSV,))
-
-
-@main.command()
-@_options
-def report(**params):
-    """Run the whole pipeline and write every report plus summary.json."""
-    _run(params, REPORT)
+for _row in _COMMANDS:
+    _command(*_row)
+main.commands["backtest"].params.append(click.Option(
+    ["--holdout-year"], type=int, default=None,
+    help="Held-out year to score against (default: last window year)."))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ DEFAULT_STOCK_MONTHS = 4
 UNDERSTOCK = "UNDERSTOCK"
 EXACT = "EXACT"
 OVERSTOCK = "OVERSTOCK"
-STATUSES = (UNDERSTOCK, EXACT, OVERSTOCK)
 
 
 _ZERO = Fraction(0)

@@ -136,6 +136,17 @@ def forecast(monthly_need, profile: SeasonalProfile, method: str) -> ForecastRes
     return ForecastResult(profile.product_id, method, values)
 
 
+def forecast_year(series: MonthlySeries, year: int) -> tuple:
+    """The naive and the seasonal forecast of `year`, with no lookahead.
+
+    The need comes from `year - 1` (`monthly_need`) and the profile is
+    fit on every year of the series before `year`.
+    """
+    need = monthly_need(series, year)
+    profile = fit_seasonal_indices(series.window(series.start_year, year - series.start_year))
+    return forecast(need, profile, METHOD_NAIVE), forecast(need, profile, METHOD_SEASONAL)
+
+
 def _mae(forecast_values, actual) -> float:
     return sum(abs(f - a) for f, a in zip(forecast_values, actual)) / 12
 
@@ -146,11 +157,10 @@ def _mape(forecast_values, actual) -> float:
 
 
 def backtest(series: MonthlySeries, holdout_year: int) -> BacktestReport:
-    """Score both forecast methods against one held-out year.
+    """Score both forecast methods of `forecast_year` against one held-out year.
 
-    The baseline need comes from the year before the holdout and the
-    seasonal profile is fit on all years strictly before it, so the
-    holdout never leaks into its own forecast.
+    The holdout year must be covered and have at least `MIN_FIT_YEARS`
+    years before it; it never leaks into its own forecast.
     """
     if not series.covers(holdout_year):
         raise ValueError(
@@ -163,10 +173,7 @@ def backtest(series: MonthlySeries, holdout_year: int) -> BacktestReport:
             f"{series.product_id}: backtesting {holdout_year} needs at least "
             f"{MIN_FIT_YEARS} years strictly before it, got {fit_years}"
         )
-    need = monthly_need(series, holdout_year)
-    profile = fit_seasonal_indices(series.window(series.start_year, fit_years))
-    naive = forecast(need, profile, METHOD_NAIVE)
-    seasonal = forecast(need, profile, METHOD_SEASONAL)
+    naive, seasonal = forecast_year(series, holdout_year)
     actual = series.year_slice(holdout_year)
 
     no_actuals = all(a == 0 for a in actual)

@@ -51,16 +51,7 @@ from .classification import (
     score_products,
 )
 from .dimensioning import DEFAULT_STOCK_MONTHS, plan_products
-from .forecasting import (
-    METHOD_NAIVE,
-    METHOD_SEASONAL,
-    MIN_FIT_YEARS,
-    SeasonalProfile,
-    backtest,
-    fit_seasonal_indices,
-    forecast,
-    monthly_need,
-)
+from .forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
 from .forking import _can_fork, _in_two
 from .ingestion import aggregate_monthly, parse_inputs, resolve_on_hand
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
@@ -164,20 +155,17 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
     """Yield gap KPI rows for the last history year, annual then monthly.
 
     The offer is what the planning method would have put on the table
-    for that year with no lookahead: the seasonal forecast when at
-    least two earlier years exist, the flat baseline otherwise.
+    for that year with no lookahead: the seasonal `forecast_year` when
+    at least `MIN_FIT_YEARS` earlier years exist, the flat baseline otherwise.
     """
     year = config.last_history_year
     months = [f"{year}-{month:02d}" for month in range(1, 13)]
     for pid in sorted(product_ids):
         series = data.series[pid]
-        need = monthly_need(series, year)
-        fit_years = year - series.start_year
-        if fit_years >= MIN_FIT_YEARS:
-            profile = fit_seasonal_indices(series.window(series.start_year, fit_years))
-            offers = forecast(need, profile, METHOD_SEASONAL).monthly_values
+        if year - series.start_year >= MIN_FIT_YEARS:
+            offers = forecast_year(series, year)[1].monthly_values
         else:
-            offers = forecast(need, SeasonalProfile.flat(pid), METHOD_NAIVE).monthly_values
+            offers = (float(monthly_need(series, year)),) * 12
         demands = series.year_slice(year)
         yield _gap_row(pid, str(year), sum(demands), sum(offers))
         for m, d, o in zip(months, demands, offers):
@@ -363,12 +351,8 @@ class PipelineResult:
         return _started(self._forecast_rows())
 
     def _forecast_rows(self):
-        start = self.config.start_year
-        fit_years = self.config.target_year - start
-        for pid, need in self.needs.items():
-            profile = fit_seasonal_indices(self.data.series[pid].window(start, fit_years))
-            yield forecast(need, profile, METHOD_NAIVE)
-            yield forecast(need, profile, METHOD_SEASONAL)
+        for pid in self.product_ids:
+            yield from forecast_year(self.data.series[pid], self.config.target_year)
 
     @cached_property
     def backtests(self):

@@ -221,7 +221,7 @@ def test_failure_while_a_stream_is_written_keeps_the_previous_outputs(bundled_pa
     assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    real_gap_csv, real_forecast = reporting.gap_csv, reporting.forecast
+    real_gap_csv, real_forecast = reporting.gap_csv, reporting.forecast_year
     writing_gaps = []
 
     def gap_csv(gaps, fh):
@@ -234,7 +234,7 @@ def test_failure_while_a_stream_is_written_keeps_the_previous_outputs(bundled_pa
         return real_forecast(*args)
 
     monkeypatch.setattr(reporting, "gap_csv", gap_csv)
-    monkeypatch.setattr(reporting, "forecast", forecast)
+    monkeypatch.setattr(reporting, "forecast_year", forecast)
     result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
     monkeypatch.undo()
     assert result.exit_code == 1
@@ -245,6 +245,29 @@ def test_failure_while_a_stream_is_written_keeps_the_previous_outputs(bundled_pa
 
 def last_line(result):
     return result.output.splitlines()[-1]
+
+
+def test_each_subcommand_has_its_help_line_and_options():
+    settings = [
+        "--deliveries", "--catalog", "--stock", "--out-dir", "--start-year", "--years", "--target-year",
+        "--multiplier", "--w-revenue", "--w-ratio", "--w-urgency", "--a-threshold", "--b-threshold",
+        "--pallet-l", "--pallet-w", "--pallet-h",
+    ]
+    help_lines = {
+        "classify": "Score, rank, and ABC-classify every cataloged product.",
+        "forecast": "Forecast the target year per month, flat and seasonal.",
+        "backtest": "Score flat vs seasonal forecasts against a held-out year.",
+        "plan": "Size the strategic stock and the order quantity per product.",
+        "volume": "Convert strategic quantities into cartons, pallets, and volume.",
+        "report": "Run the whole pipeline and write every report plus summary.json.",
+    }
+    assert sorted(main.commands) == sorted(help_lines)
+    for name, command in main.commands.items():
+        assert command.help == help_lines[name]
+        holdout = ["--holdout-year"] if name == "backtest" else []
+        assert [opt for param in command.params for opt in param.opts] == (
+            settings + ["--config", "--all"] + holdout
+        ), name
 
 
 def test_unreadable_config_file_fails_cleanly(bundled_paths, tmp_path):
@@ -368,14 +391,14 @@ def test_failure_in_the_writer_child_keeps_the_previous_outputs(bundled_paths, t
     assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    real_forecast, parent = reporting.forecast, os.getpid()
+    real_forecast, parent = reporting.forecast_year, os.getpid()
 
     def forecast(*args):  # forecast.csv is rendered by the writer child
         if os.getpid() != parent:
             raise ValueError("forecast failed in the writer")
         return real_forecast(*args)
 
-    monkeypatch.setattr(reporting, "forecast", forecast)
+    monkeypatch.setattr(reporting, "forecast_year", forecast)
     result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
     monkeypatch.undo()
     assert result.exit_code == 1

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,13 +19,17 @@ from stockdim import (
     StockPlan,
     VolumetricPlan,
 )
-from stockdim.ingestion import InputError
+from stockdim.forecasting import backtest
+from stockdim.ingestion import InputError, MonthlySeries
 from stockdim.reporting import (
+    BACKTEST_CSV,
     GAP_CSV,
     GapReport,
+    LoadedData,
     PLAN_CSV,
     RunConfig,
     backtest_csv,
+    build_gaps,
     classification_csv,
     forecast_csv,
     gap_csv,
@@ -188,6 +193,47 @@ def test_gap_rows_cover_annual_and_monthly_granularity(bundled_paths, tmp_path):
     for g in result.gaps:
         assert g.gap == g.demand - g.offered
         assert 0.0 <= g.service_rate <= 1.0
+
+
+def test_gap_csv_and_backtest_csv_agree_on_every_bundled_product(bundled_paths, tmp_path):
+    run_pipeline(make_config(bundled_paths, tmp_path, include_all=True), (GAP_CSV, BACKTEST_CSV))
+    monthly_gaps = {}
+    for row in read_rows(tmp_path / GAP_CSV):
+        if "-" in row["period"]:
+            monthly_gaps.setdefault(row["product_id"], []).append(abs(float(row["gap"])))
+    mae_seasonal = {r["product_id"]: float(r["mae_seasonal"]) for r in read_rows(tmp_path / BACKTEST_CSV)}
+    assert len(mae_seasonal) == 50
+    assert all(len(gaps) == 12 for gaps in monthly_gaps.values())
+    assert {pid: sum(gaps) / 12 for pid, gaps in monthly_gaps.items()} == mae_seasonal
+
+
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.lists(st.integers(0, 10**6) | st.just(0), min_size=12 * n, max_size=12 * n)
+))
+def test_mean_monthly_gap_is_the_seasonal_backtest_mae(values):
+    series = MonthlySeries("P", 2019, tuple(values))
+    config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
+                       start_year=2019, n_years=series.n_years, target_year=series.end_year + 1)
+    data = LoadedData(catalog={}, series={"P": series}, on_hand={})
+    annual, *months = build_gaps(data, ["P"], config)
+    assert [g.period for g in months] == [f"{series.end_year}-{m:02d}" for m in range(1, 13)]
+    report = backtest(series, series.end_year)
+    assert sum(abs(g.gap) for g in months) / 12 == report.mae_seasonal
+
+
+def test_gap_offer_with_fewer_than_two_earlier_years_is_the_prior_year_over_12(tiny_inputs, tmp_path):
+    write_csv(tiny_inputs["deliveries"], "product_id,date,quantity", [
+        ("P1", "2020-01", 10), ("P1", "2020-03-15", 51), ("P1", "2021-03", 60), ("P2", "2021-07", 5),
+    ])
+    config = make_config(tiny_inputs, tmp_path, start_year=2020, n_years=2, target_year=2022,
+                         include_all=True)
+    run_pipeline(config, (GAP_CSV,))
+    rows = read_rows(tmp_path / GAP_CSV)
+    for pid, prior_total in (("P1", 61), ("P2", 0)):
+        annual, *months = [r for r in rows if r["product_id"] == pid]
+        assert annual["period"] == "2021" and len(months) == 12
+        assert [float(m["offered"]) for m in months] == [prior_total / 12] * 12
+        assert float(annual["offered"]) == sum(float(m["offered"]) for m in months)
 
 
 def test_streamed_stages_can_be_read_twice(bundled_paths, tmp_path):
