@@ -39,7 +39,6 @@ from .ingestion import (
     InputError,
     MonthlySeries,
     StockSnapshot,
-    aggregate_monthly,
     annual_total,
     parse_inputs,
     resolve_on_hand,

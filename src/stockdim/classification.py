@@ -29,9 +29,10 @@ class CriteriaWeights:
         for name, weight in vars(self).items():
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"criteria weight {name} must be finite and non-negative, got {weight}")
-        total = self.w_revenue + self.w_ratio + self.w_urgency
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"criteria weights must sum to 1, got {total}")
+        # The exact sum of the decimals the weights read: (0.5, 0.3, 0.2000000001) is not 1.
+        if sum(map(_exact, vars(self).values())) != 1:
+            raise ValueError(
+                f"criteria weights must sum to 1, got {self.w_revenue} + {self.w_ratio} + {self.w_urgency}")
 
 
 DEFAULT_WEIGHTS = CriteriaWeights()

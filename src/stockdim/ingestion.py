@@ -8,8 +8,8 @@ its file and line number, and nothing is dropped silently.
 A delivery file of `SPLIT_FLOOR` bytes or more is folded in two processes
 where `os.fork` exists, two CPUs are usable and no `"` or lone CR comes
 before the split, the first line end past the middle byte: a forked child
-folds the lines before it while this process folds the rest. The history,
-its order and every error message are those of one process.
+folds the lines before it while this process folds the rest. The series
+and every error message are those of one process.
 """
 
 import csv
@@ -17,6 +17,7 @@ import io
 import itertools
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -96,11 +97,19 @@ class MonthlySeries:
                 f"outside series {self.start_year}..{self.end_year}"
             )
         lo = (start_year - self.start_year) * 12
-        # Whole years of already checked values: skip __post_init__'s scan.
-        sub = object.__new__(type(self))
-        vars(sub).update(product_id=self.product_id, start_year=start_year,
-                         values=self.values[lo : lo + 12 * n_years])
-        return sub
+        return self._trusted(self.product_id, start_year, self.values[lo : lo + 12 * n_years])
+
+    @classmethod
+    def _trusted(cls, product_id, start_year, values):
+        """A series of whole years of values known to be >= 0, built without `__post_init__`'s scan.
+
+        `object.__setattr__` keeps the instance as compact as `__init__` does; `vars(series)` would not.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "product_id", product_id)
+        object.__setattr__(series, "start_year", start_year)
+        object.__setattr__(series, "values", values)
+        return series
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,10 @@ def _parse_dim(text: str, what: str):
 _CHUNK = 1 << 16  # bytes read at a time
 
 # A delivery file of at least this many bytes is folded in two processes
-# where that is possible. On two CPUs, folding prefixes of a 205k-row file
-# in process, the split broke even near 160 KiB and took 0.83-0.91 of the
-# one-process time at 256 KiB: fork, scan and merge cost a few ms.
+# where that is possible. Loading prefixes of a 205k-row file into month
+# slots in fresh interpreters, with both CPUs running, the split took 1.09
+# of the one-process time at 128 KiB, 0.87 at 256 KiB and 0.80 at 384 KiB:
+# fork, scan and join cost a few ms.
 SPLIT_FLOOR = 256 << 10
 
 
@@ -286,40 +296,42 @@ def _stock_snapshot(pid, on_hand_text):
     return StockSnapshot(pid, _parse_int(on_hand_text, 0, "on_hand"))
 
 
-def _fold_rows(rows, first_line, path, catalog):
-    """Fold csv rows, the first at line `first_line`, as `_fold_deliveries` does."""
-    history, uncataloged, shape, bad = {}, [], [], []
-    months = {}  # exact date text -> (year, month); only good dates are cached
+def _fold_rows(rows, first_line, path, offsets, start_year, n_years):
+    """Fold csv rows, the first at line `first_line`, into month slots, as `_fold_deliveries` does."""
+    slots, uncataloged, outside, shape, bad = [0] * (12 * n_years * len(offsets)), [], {}, [], []
+    ids, months = dict(offsets), {}  # exact raw text -> offset, slot; learned from checked rows
     for line_no, row in enumerate(rows, start=first_line):
+        try:
+            pid, date_text, qty_text = row
+            quantity = int(qty_text)
+            if quantity >= 0:
+                slots[ids[pid] + months[date_text]] += quantity
+                continue
+        except (ValueError, KeyError):
+            pass
         if len(row) != 3:
             if row:  # tolerate blank lines
                 shape.append(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
             continue
         pid, date_text, qty_text = row
-        pid = pid.strip()
+        key = pid.strip()
         try:
-            if not pid:
+            if not key:
                 raise ValueError("product_id must not be empty")
-            year_month = months.get(date_text)
-            if year_month is None:
-                year_month = months[date_text] = _parse_year_month(date_text.strip())
-            try:
-                quantity = int(qty_text)
-            except ValueError:
-                quantity = -1
-            if quantity < 0:
-                quantity = _parse_int(qty_text.strip(), 0, "quantity")
+            year, month = _parse_year_month(date_text.strip())
+            quantity = _parse_int(qty_text.strip(), 0, "quantity")
         except ValueError as exc:
             bad.append(f"{path}:{line_no}: {exc}")
             continue
-        totals = history.get(pid)
-        if totals is None:
-            if pid not in catalog:
-                uncataloged.append((line_no, pid))
-                continue
-            totals = history[pid] = {}
-        totals[year_month] = totals.get(year_month, 0) + quantity
-    return history, uncataloged, shape, bad
+        slot = (year - start_year) * 12 + month - 1
+        if key not in offsets:
+            uncataloged.append((line_no, key))
+        elif not 0 <= slot < 12 * n_years:
+            outside.setdefault(key, slot)
+        else:
+            ids[pid], months[date_text] = offsets[key], slot
+            slots[offsets[key] + slot] += quantity
+    return slots, uncataloged, outside, shape, bad
 
 
 def _split_point(fh, size):
@@ -345,25 +357,16 @@ def _split_point(fh, size):
     return None if lone_crs else (split, lfs)
 
 
-def _joined(first, second):
-    """The fold of a whole file from the folds of its first and second part."""
-    history, uncataloged, shape, bad = first
-    for pid, totals in second[0].items():
-        joined = history.setdefault(pid, totals)
-        if joined is not totals:  # months of both parts add up where first seen
-            for year_month in joined.keys() & totals.keys():
-                totals[year_month] += joined[year_month]
-            joined.update(totals)
-    return history, uncataloged + second[1], shape + second[2], bad + second[3]
+def _fold_deliveries(path, offsets, start_year, n_years):
+    """Stream the delivery file into a flat list of month slots, `12 * n_years` per product.
 
-
-def _fold_deliveries(path, catalog):
-    """Stream the delivery file into {product_id: {(year, month): quantity}}.
-
-    Returns that history, the (line_number, product_id) of valid lines naming
-    a product outside `catalog`, and the field-count and field-value problems.
-    Where the module docstring says, the halves before and after
-    `_split_point` are folded at once (`forking._in_two`) and `_joined`.
+    Month m of year y of product `pid` adds up in slot
+    `offsets[pid] + (y - start_year) * 12 + m - 1`. Returns those slots,
+    the (line_number, product_id) of valid lines naming a product outside
+    `offsets`, each cataloged product's first slot outside the window, and
+    the field-count and field-value problems. Where the module docstring
+    says, the halves before and after `_split_point` are folded at once
+    (`forking._in_two`) and added up.
     """
     shape = []
     try:
@@ -373,33 +376,44 @@ def _fold_deliveries(path, catalog):
             pieces = _preads(fh.fileno(), 0, split) if split else _reads(fh)
             rows = _data_rows(_lines(pieces), path, DELIVERIES_HEADER, shape)
             if rows is None:
-                return {}, [], shape, []
+                return [], [], {}, shape, []
             if not split:
-                return _fold_rows(rows, 2, path, catalog)
+                return _fold_rows(rows, 2, path, offsets, start_year, n_years)
             fh.seek(split)
-            return _joined(*_in_two(
-                lambda: _fold_rows(rows, 2, path, catalog),
-                lambda: _fold_rows(csv.reader(_lines(_reads(fh), split)), lfs + 1, path, catalog),
-            ))
+            first, second = _in_two(
+                lambda: _fold_rows(rows, 2, path, offsets, start_year, n_years),
+                lambda: _fold_rows(csv.reader(_lines(_reads(fh), split)), lfs + 1, path, offsets,
+                                   start_year, n_years),
+            )
+            # Slots and lists add up; a product's first slot outside the window is the first half's.
+            return (list(map(operator.add, first[0], second[0])), first[1] + second[1],
+                    second[2] | first[2], first[3] + second[3], first[4] + second[4])
     except ChildProcessError:  # a child that died says nothing of the file
         raise
     except (OSError, UnicodeError) as exc:
-        return {}, [], [f"{path}: cannot read file ({exc})"], []
+        return [], [], {}, [f"{path}: cannot read file ({exc})"], []
 
 
-def parse_inputs(deliveries_file, catalog_file, stock_file):
-    """Parse and cross-validate the three input files.
+def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_years: int):
+    """Parse and cross-validate the three input files into the window's monthly series.
 
-    Returns (history, catalog entries, stock snapshots), where history
-    maps each delivered product to its monthly totals,
-    {(year, month): quantity}. Raises InputError whose message carries
-    one `file:line: reason` entry per problem found, so a single run
-    surfaces every bad row: field-count problems of the delivery, catalog
-    and stock files first, then field-value problems in the same file
-    order, then (only if all else is clean) uncataloged products.
+    Returns (series, catalog entries, stock snapshots), where series maps
+    every cataloged product, in id order, to its `MonthlySeries` of the
+    `n_years` years from `start_year`; a product with no delivery gets
+    zeros. Raises InputError whose message carries one `file:line: reason`
+    entry per problem found, so a single run surfaces every bad row:
+    field-count problems of the delivery, catalog and stock files first,
+    then field-value problems in the same file order, then (only if all
+    else is clean) uncataloged products. Then a delivery outside the
+    window raises ValueError: it is an error, not a filter.
     """
+    if n_years < 1:
+        raise ValueError(f"n_years must be >= 1, got {n_years}")
+    width = 12 * n_years
     catalog, catalog_shape, catalog_bad = _read_keyed(catalog_file, CATALOG_HEADER, _catalog_entry)
-    history, uncataloged, delivery_shape, delivery_bad = _fold_deliveries(deliveries_file, catalog)
+    offsets = {pid: i * width for i, pid in enumerate(sorted(catalog))}
+    slots, uncataloged, outside, delivery_shape, delivery_bad = _fold_deliveries(
+        deliveries_file, offsets, start_year, n_years)
     stock, stock_shape, stock_bad = _read_keyed(stock_file, STOCK_HEADER, _stock_snapshot)
     problems = delivery_shape + catalog_shape + stock_shape + delivery_bad + catalog_bad + stock_bad
     # Cross-file checks only make sense once every file parsed cleanly.
@@ -414,36 +428,16 @@ def parse_inputs(deliveries_file, catalog_file, stock_file):
         ]
     if problems:
         raise InputError("\n".join(problems))
-    return history, [entry for _, entry in catalog.values()], [snap for _, snap in stock.values()]
-
-
-def aggregate_monthly(history, start_year: int, n_years: int, product_ids=None):
-    """Pivot per-product monthly totals into contiguous monthly series.
-
-    `history` maps product ids to {(year, month): quantity}, the shape
-    parse_inputs returns. Every month must fall inside
-    [start_year, start_year + n_years); a delivery outside the window is
-    an error, not a filter. Products listed in `product_ids` but absent
-    from the history still get an all-zero series, so catalog-only
-    products are planned rather than forgotten.
-    """
-    if n_years < 1:
-        raise ValueError(f"n_years must be >= 1, got {n_years}")
-    slots = 12 * n_years
-    end_year = start_year + n_years - 1
-    pids = set(history).union(product_ids or ())
-    out = {}
-    for pid in sorted(pids):
-        values = [0] * slots
-        for (year, month), quantity in history.get(pid, {}).items():
-            if not start_year <= year <= end_year:
-                raise ValueError(
-                    f"delivery for {pid} dated {year}-{month:02d} "
-                    f"falls outside the {start_year}..{end_year} history window"
-                )
-            values[(year - start_year) * 12 + month - 1] = quantity
-        out[pid] = MonthlySeries(pid, start_year, tuple(values))
-    return out
+    if outside:
+        pid = min(outside)
+        year, month = divmod(outside[pid], 12)
+        raise ValueError(
+            f"delivery for {pid} dated {start_year + year}-{month + 1:02d} "
+            f"falls outside the {start_year}..{start_year + n_years - 1} history window"
+        )
+    series = {pid: MonthlySeries._trusted(pid, start_year, tuple(slots[at : at + width]))
+              for pid, at in offsets.items()}
+    return series, [entry for _, entry in catalog.values()], [snap for _, snap in stock.values()]
 
 
 def annual_total(series: MonthlySeries, year: int) -> int:

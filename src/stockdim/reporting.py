@@ -53,7 +53,7 @@ from .classification import (
 from .dimensioning import DEFAULT_STOCK_MONTHS, plan_products
 from .forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
 from .forking import _can_fork, _in_two
-from .ingestion import aggregate_monthly, parse_inputs, resolve_on_hand
+from .ingestion import parse_inputs, resolve_on_hand
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
 
 CLASSIFICATION_CSV = "classification.csv"
@@ -144,11 +144,10 @@ def gap_kpi(demand_by_product, offered_by_product, period: str):
 
 
 def load_inputs(config: RunConfig) -> LoadedData:
-    history, entries, snapshots = parse_inputs(config.deliveries, config.catalog, config.stock)
+    series, entries, snapshots = parse_inputs(
+        config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
     catalog = {e.product_id: e for e in entries}
-    series = aggregate_monthly(history, config.start_year, config.n_years, product_ids=catalog)
-    on_hand = resolve_on_hand(snapshots, catalog)
-    return LoadedData(catalog=catalog, series=series, on_hand=on_hand)
+    return LoadedData(catalog=catalog, series=series, on_hand=resolve_on_hand(snapshots, catalog))
 
 
 def build_gaps(data: LoadedData, product_ids, config: RunConfig):

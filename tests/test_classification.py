@@ -30,6 +30,14 @@ def test_weights_must_sum_to_one():
         CriteriaWeights(1.5, -0.5, 0.0)
 
 
+def test_weights_sum_to_one_as_the_decimals_they_read():
+    assert 0.6 + 0.3 + 0.1 != 1 and 0.3333333333333333 * 3 == 1  # float sums say the opposite
+    assert CriteriaWeights(0.6, 0.3, 0.1).w_urgency == 0.1
+    for weights in ((0.5, 0.3, 0.2000000001), (0.3333333333333333,) * 3):
+        with pytest.raises(ValueError, match="sum to 1"):
+            CriteriaWeights(*weights)
+
+
 def test_revenue_only_weights_hit_minmax_endpoints():
     series = {"A": series_with_total("A", 100), "B": series_with_total("B", 300)}
     catalog = {"A": entry("A", 1.0), "B": entry("B", 1.0)}

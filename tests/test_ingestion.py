@@ -1,5 +1,6 @@
 import csv
 import gc
+import math
 import os
 
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from stockdim import ingestion
 from stockdim.ingestion import (
+    CATALOG_HEADER,
     InputError,
     MonthlySeries,
     StockSnapshot,
-    aggregate_monthly,
     annual_total,
     parse_inputs,
     resolve_on_hand,
@@ -22,28 +23,34 @@ from conftest import assert_no_child_left, count_forks, write_csv
 PRODUCTS = ("A", "B", "C", "P1")
 
 
-def parse_delivery_lines(directory, lines):
-    """parse_inputs over the given delivery CSV lines and a catalog of PRODUCTS."""
-    deliveries = directory / "deliveries.csv"
-    deliveries.write_text("\n".join(["product_id,date,quantity", *lines]) + "\n", encoding="utf-8")
-    catalog = write_csv(
-        directory / "catalog.csv",
-        "product_id,name,unit_price,urgency,boxes_per_carton,carton_l_mm,carton_w_mm,carton_h_mm",
-        [(pid, f"Product {pid}", 1.0, 0, 10, 400, 300, 200) for pid in PRODUCTS],
-    )
-    stock = write_csv(directory / "stock.csv", "product_id,on_hand", [(pid, 0) for pid in PRODUCTS])
-    history, _, _ = parse_inputs(deliveries, catalog, stock)
-    return history
+def write_deliveries(path, text):
+    path.write_bytes(("product_id,date,quantity\n" + text).encode("utf-8"))
+    return path
+
+
+def write_inputs(directory, delivery_text):
+    """A delivery file of the given text after its header, and a catalog and a stock file of PRODUCTS."""
+    return {
+        "deliveries": write_deliveries(directory / "deliveries.csv", delivery_text),
+        "catalog": write_csv(directory / "catalog.csv", ",".join(CATALOG_HEADER),
+                             [(pid, f"Product {pid}", 1.0, 0, 10, 400, 300, 200) for pid in PRODUCTS]),
+        "stock": write_csv(directory / "stock.csv", "product_id,on_hand", [(pid, 0) for pid in PRODUCTS]),
+    }
+
+
+def parse_delivery_lines(directory, lines, start_year, n_years):
+    """The series parse_inputs reads from the given delivery CSV lines and a catalog of PRODUCTS."""
+    paths = write_inputs(directory, "".join(line + "\n" for line in lines))
+    return parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], start_year, n_years)[0]
 
 
 def test_parse_well_formed_inputs(tiny_inputs):
-    history, entries, snapshots = parse_inputs(
-        tiny_inputs["deliveries"], tiny_inputs["catalog"], tiny_inputs["stock"]
+    series, entries, snapshots = parse_inputs(
+        tiny_inputs["deliveries"], tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2
     )
-    assert history == {  # days truncated to their month
-        "P1": {(2020, 1): 10, (2020, 3): 50, (2021, 3): 60},
-        "P2": {(2021, 7): 5},
-    }
+    p1, p2 = [0] * 24, [0] * 24
+    p1[0], p1[2], p1[14], p2[18] = 10, 50, 60, 5  # days truncated to their month
+    assert series == {"P1": MonthlySeries("P1", 2020, tuple(p1)), "P2": MonthlySeries("P2", 2020, tuple(p2))}
     assert [e.product_id for e in entries] == ["P1", "P2"]
     assert entries[0].carton_dims == (400, 300, 200)
     assert entries[1].urgency == 1
@@ -54,10 +61,10 @@ def test_negative_quantity_reports_file_and_line(tiny_inputs, tmp_path):
     bad = write_csv(
         tmp_path / "bad_deliveries.csv",
         "product_id,date,quantity",
-        [("P1", "2020-01", 10), ("P1", "2020-02", -5)],
+        [("P1", "2020-01", 10), ("P1", "2020-01", -5)],  # a product and a month already seen
     )
     with pytest.raises(InputError) as exc:
-        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"])
+        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
     msg = str(exc.value)
     assert "bad_deliveries.csv:3" in msg
     assert "quantity" in msg
@@ -73,7 +80,7 @@ def test_duplicate_catalog_product_is_an_error(tiny_inputs, tmp_path):
         ],
     )
     with pytest.raises(InputError, match="duplicate product_id 'P1'"):
-        parse_inputs(tiny_inputs["deliveries"], dup, tiny_inputs["stock"])
+        parse_inputs(tiny_inputs["deliveries"], dup, tiny_inputs["stock"], 2020, 2)
 
 
 def test_bad_date_and_bad_number_are_reported_together(tiny_inputs, tmp_path):
@@ -83,7 +90,7 @@ def test_bad_date_and_bad_number_are_reported_together(tiny_inputs, tmp_path):
         [("P1", "2020-13", 10), ("P1", "2020-02", "ten")],
     )
     with pytest.raises(InputError) as exc:
-        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"])
+        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
     msg = str(exc.value)
     assert ":2:" in msg and ":3:" in msg  # both rows surfaced in one pass
 
@@ -95,7 +102,7 @@ def test_unknown_header_is_rejected(tiny_inputs, tmp_path):
         [("P1", "2020-01", 10)],
     )
     with pytest.raises(InputError, match="expected header"):
-        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"])
+        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
 
 
 def test_delivery_for_uncataloged_product_is_an_error(tiny_inputs, tmp_path):
@@ -105,38 +112,37 @@ def test_delivery_for_uncataloged_product_is_an_error(tiny_inputs, tmp_path):
         [("GHOST", "2020-01", 10)],
     )
     with pytest.raises(InputError, match="'GHOST' not in catalog"):
-        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"])
+        parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
 
 
 def test_aggregate_no_records_zero_fills_catalog_products(tmp_path):
-    series = aggregate_monthly(parse_delivery_lines(tmp_path, []), 2018, 1, product_ids=["P1"])
+    series = parse_delivery_lines(tmp_path, [], 2018, 1)
+    assert list(series) == sorted(PRODUCTS)
     assert series["P1"].values == (0,) * 12
 
 
 def test_aggregate_single_record_lands_in_its_month(tmp_path):
-    series = aggregate_monthly(parse_delivery_lines(tmp_path, ["P1,2018-03,50"]), 2018, 1)
+    series = parse_delivery_lines(tmp_path, ["P1,2018-03,50"], 2018, 1)
     assert series["P1"].values[2] == 50
     assert sum(series["P1"].values) == 50
 
 
 def test_aggregate_same_month_records_add_up(tmp_path):
-    history = parse_delivery_lines(tmp_path, ["P1,2018-03,50", "P1,2018-03,20"])
-    series = aggregate_monthly(history, 2018, 1)
+    series = parse_delivery_lines(tmp_path, ["P1,2018-03,50", "P1,2018-03,20"], 2018, 1)
     assert series["P1"].values[2] == 70
 
 
 def test_aggregate_rejects_record_outside_window(tmp_path):
-    history = parse_delivery_lines(tmp_path, ["P1,2019-01,5"])
-    with pytest.raises(ValueError, match="outside the 2018..2018"):
-        aggregate_monthly(history, 2018, 1)
+    with pytest.raises(ValueError) as exc:  # the lowest product id's first such delivery, of any quantity
+        parse_delivery_lines(tmp_path, ["P1,2019-01,5", "A,2017-12-31,0", "A,2019-02,1"], 2018, 1)
+    assert str(exc.value) == "delivery for A dated 2017-12 falls outside the 2018..2018 history window"
 
 
 def test_equal_months_share_a_slot_and_every_bad_date_line_is_reported(tmp_path):
-    history = parse_delivery_lines(tmp_path, ["P1,2020-03,1", "P1, 2020-03 ,2", "P1,2020-03-15,4"])
-    assert history == {"P1": {(2020, 3): 7}}
-    assert aggregate_monthly(history, 2020, 1)["P1"].values[2] == 7
+    series = parse_delivery_lines(tmp_path, ["P1,2020-03,1", " P1, 2020-03 ,2", "P1,2020-03-15,4"], 2020, 1)
+    assert series["P1"].values == (0, 0, 7) + (0,) * 9
     with pytest.raises(InputError) as exc:
-        parse_delivery_lines(tmp_path, ["P1,2020-3x,1", "P1,2020-03,2", "P1,2020-3x,3"])
+        parse_delivery_lines(tmp_path, ["P1,2020-3x,1", "P1,2020-03,2", "P1,2020-3x,3"], 2020, 1)
     message = "bad date '2020-3x', expected YYYY-MM or YYYY-MM-DD"
     assert str(exc.value) == "\n".join(
         f"{tmp_path / 'deliveries.csv'}:{line}: {message}" for line in (2, 4)
@@ -171,7 +177,7 @@ delivery_lines_strategy = st.lists(
 
 @given(delivery_lines_strategy)
 def test_aggregation_conserves_quantities(tmp_path_factory, lines):
-    series = aggregate_monthly(parse_delivery_lines(tmp_path_factory.mktemp("d"), lines), 2019, 3)
+    series = parse_delivery_lines(tmp_path_factory.mktemp("d"), lines, 2019, 3)
     for pid, s in series.items():
         assert sum(s.values) == sum(int(line.split(",")[2]) for line in lines if line[0] == pid)
 
@@ -181,9 +187,8 @@ def test_aggregation_is_order_independent(tmp_path_factory, lines, rnd):
     shuffled = list(lines)
     rnd.shuffle(shuffled)
     directory = tmp_path_factory.mktemp("d")
-    assert aggregate_monthly(parse_delivery_lines(directory, lines), 2019, 3) == aggregate_monthly(
-        parse_delivery_lines(directory, shuffled), 2019, 3
-    )
+    series = parse_delivery_lines(directory, lines, 2019, 3)
+    assert series == parse_delivery_lines(directory, shuffled, 2019, 3)
 
 
 def test_series_window_and_slices():
@@ -212,7 +217,7 @@ def test_resolve_on_hand_defaults_missing_products(caplog):
 
 def test_invalid_domain_values_are_rejected(tmp_path):
     with pytest.raises(ValueError):
-        parse_delivery_lines(tmp_path, ["P1,2020-13,1"])
+        parse_delivery_lines(tmp_path, ["P1,2020-13,1"], 2020, 1)
     with pytest.raises(ValueError):
         MonthlySeries("P", 2020, (1, 2, 3))  # not a multiple of 12
 
@@ -242,7 +247,7 @@ def test_every_bad_line_is_reported_in_one_message(tmp_path):
     )
     stock = write_csv(tmp_path / "stock.csv", "product_id,on_hand", [("P1", 20), ("P2", 0), ("P2", 3)])
     with pytest.raises(InputError) as exc:
-        parse_inputs(deliveries, catalog, stock)
+        parse_inputs(deliveries, catalog, stock, 2020, 2)
     # field-count problems of every file come before any field-value problem
     assert str(exc.value) == "\n".join([
         f"{deliveries}:7: expected 3 fields, got 2",
@@ -259,13 +264,13 @@ def test_uncataloged_products_are_reported_once_files_parse_cleanly(tiny_inputs,
     deliveries = write_csv(
         tmp_path / "ghost_deliveries.csv",
         "product_id,date,quantity",
-        [("P1", "2020-01", 10), ("GHOST", "2020-02", 4), ("P2", "2021-07", 5), ("GHOST", "2021-01", 1)],
+        [("P1", "2020-01", 10), ("GHOST", "2020-02", 4), ("P2", "2021-07", 5), ("GHOST", "2019-01", 1)],
     )
     stock = write_csv(
         tmp_path / "ghost_stock.csv", "product_id,on_hand", [("P1", 20), ("P2", 0), ("PHANTOM", 3)]
     )
     with pytest.raises(InputError) as exc:
-        parse_inputs(deliveries, tiny_inputs["catalog"], stock)
+        parse_inputs(deliveries, tiny_inputs["catalog"], stock, 2020, 2)
     assert str(exc.value) == "\n".join([
         f"{deliveries}:3: product 'GHOST' not in catalog",
         f"{deliveries}:5: product 'GHOST' not in catalog",
@@ -273,31 +278,69 @@ def test_uncataloged_products_are_reported_once_files_parse_cleanly(tiny_inputs,
     ])
 
 
-def ordered(fold):
-    """A `_fold_deliveries` result with each dict as its list of items, so that key order counts."""
-    history, *rest = fold
-    return [(pid, list(totals.items())) for pid, totals in history.items()], *rest
+OFFSETS = {pid: i * 24 for i, pid in enumerate(sorted(PRODUCTS))}  # slots of the window 2020..2021
 
 
-def fold_in_one_process(path, catalog):
+def fold_in_one_process(path):
     """The delivery loop over a text file read as csv, the way one process folds it."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows)
-        return ingestion._fold_rows(rows, 2, path, catalog)
+        return ingestion._fold_rows(rows, 2, path, OFFSETS, 2020, 2)
 
 
-def write_deliveries(path, text):
-    path.write_bytes(("product_id,date,quantity\n" + text).encode("utf-8"))
-    return path
+def reference_outcome(path):
+    """What the fold of a {(year, month): quantity} dict per product, pivoted into 2020..2021, gives."""
+    history, shape, bad, uncataloged = {}, [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, row in enumerate(list(csv.reader(fh))[1:], start=2):
+            if len(row) != 3:
+                shape += [f"{path}:{line_no}: expected 3 fields, got {len(row)}"] if row else []
+                continue
+            pid, date_text, qty_text = (cell.strip() for cell in row)
+            try:
+                if not pid:
+                    raise ValueError("product_id must not be empty")
+                year_month = ingestion._parse_year_month(date_text)
+                quantity = ingestion._parse_int(qty_text, 0, "quantity")
+            except ValueError as exc:
+                bad.append(f"{path}:{line_no}: {exc}")
+                continue
+            if pid not in PRODUCTS:
+                uncataloged.append(f"{path}:{line_no}: product {pid!r} not in catalog")
+                continue
+            totals = history.setdefault(pid, {})
+            totals[year_month] = totals.get(year_month, 0) + quantity
+    if shape + bad or uncataloged:
+        return InputError, "\n".join(shape + bad or uncataloged)
+    series = []
+    for pid in sorted(PRODUCTS):
+        values = [0] * 24
+        for (year, month), quantity in history.get(pid, {}).items():
+            if year not in (2020, 2021):
+                return ValueError, (f"delivery for {pid} dated {year}-{month:02d} "
+                                    "falls outside the 2020..2021 history window")
+            values[(year - 2020) * 12 + month - 1] = quantity
+        series.append((pid, MonthlySeries(pid, 2020, tuple(values))))
+    return series
 
 
-CATALOG = {pid: None for pid in PRODUCTS}
-VALID_ROWS = st.builds("{},{},{}".format, st.sampled_from(["A", "B", " C ", "P1", "GHOST"]),
-                       st.sampled_from(["2020-01", "2020-02-03", " 2021-12 "]), st.integers(0, 99))
-ANY_ROWS = st.lists(st.sampled_from(["A", "", "GHOST", "2020-13", "2020-x", "5", "-1", "x"]),
-                    max_size=4).map(",".join)  # blank lines and 1, 2, 3 and 4 fields
-PLAIN_LINES = st.tuples(st.one_of(VALID_ROWS, ANY_ROWS), st.sampled_from(["\n", "\r\n"])).map("".join)
+def outcome(paths):
+    """The series parse_inputs reads for 2020..2021, in order, or the type and text of what it raised."""
+    try:
+        return list(parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)[0].items())
+    except ValueError as exc:  # InputError included
+        return type(exc), str(exc)
+
+
+VALID_ROWS = st.builds("{},{},{}".format, st.sampled_from(["A", "B ", " C ", "P1"]),
+                       st.sampled_from(["2020-01", "2020-02-03", " 2021-12 ", "2021-06 ", "2021-06-30",
+                                        " 2019-12", "2022-01-31 "]),  # the last two are out of the window
+                       st.integers(0, 99))
+ANY_ROWS = st.lists(st.sampled_from(["A", "", "GHOST", "2020-01", "2019-12", "2020-13", "2020-x", "5", "-1",
+                                     "x"]), max_size=4).map(",".join)  # blank lines and 1, 2, 3 and 4 fields
+PLAIN_LINES = st.tuples(st.one_of(*[VALID_ROWS] * 6, ANY_ROWS),  # so that some files have no bad line
+                        st.sampled_from(["\n", "\r\n"])).map("".join)
 QUOTED_OR_CR_LINES = st.one_of(
     PLAIN_LINES,
     st.sampled_from(['"A",2020-01,3\n', '"A\nB",2020-01,3\n', '"B\r\n",2020-01,1\r\n', "A,2020-04,2\r"]),
@@ -310,8 +353,12 @@ def test_a_split_fold_gives_what_one_process_gives(split_fold, tmp_path_factory,
     text = "".join(plain + tail)
     if not final_newline:
         text = text.rstrip("\r\n")
-    path = write_deliveries(tmp_path_factory.mktemp("d") / "deliveries.csv", text)
-    assert ordered(ingestion._fold_deliveries(path, CATALOG)) == ordered(fold_in_one_process(path, CATALOG))
+    paths = write_inputs(tmp_path_factory.mktemp("d"), text)
+    expected = reference_outcome(paths["deliveries"])
+    assert outcome(paths) == expected  # split in two processes where it can be
+    with pytest.MonkeyPatch.context() as one_process:
+        one_process.setattr(ingestion, "SPLIT_FLOOR", math.inf)
+        assert outcome(paths) == expected
     assert_no_child_left()
 
 
@@ -321,12 +368,14 @@ def test_a_split_fold_gives_what_one_process_gives(split_fold, tmp_path_factory,
     ("A,2020-01,1\rB,2020-02,2\n" * 20, "A,2020-03,3\n" * 40, False),
     ("A,2020-01," + "0" * 300 + "1\n", "B,2021-02,2", True),  # the second half is a last line with no end
     ("A,2020-01,1\n" * 2, "B,2021-02," + "0" * 300 + "2\n", True),  # the split lands on the end of the file
-], ids=["quote-in-second-half", "quote-in-first-half", "lone-cr-in-first-half", "last-line", "end-of-file"])
+    ("A,2019-12,1\n" + "A,2020-01,1\n" * 40, "A,2022-01,1\n" * 40, True),  # outside the window in both
+], ids=["quote-in-second-half", "quote-in-first-half", "lone-cr-in-first-half", "last-line", "end-of-file",
+        "outside-in-both-halves"])
 def test_the_fold_splits_only_where_every_line_end_ends_a_row(first_half, second_half, forked, split_fold,
                                                              tmp_path, monkeypatch):
     forks = count_forks(monkeypatch)
     path = write_deliveries(tmp_path / "deliveries.csv", first_half + second_half)
-    assert ordered(ingestion._fold_deliveries(path, CATALOG)) == ordered(fold_in_one_process(path, CATALOG))
+    assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == fold_in_one_process(path)
     assert len(forks) == forked
 
 
@@ -336,15 +385,16 @@ def test_a_crlf_across_two_reads_ends_one_line(tmp_path):
     path = tmp_path / "deliveries.csv"
     path.write_bytes(f"{header}A,{' ' * spaces}2020-01,1\r\nB,2020-13,1\r\nGHOST,2020-02,2\r\n".encode())
     assert path.read_bytes()[ingestion._CHUNK - 1:ingestion._CHUNK + 1] == b"\r\n"
-    fold = ingestion._fold_deliveries(path, CATALOG)
-    assert ordered(fold) == ordered(fold_in_one_process(path, CATALOG))
-    assert fold[1:] == ([(4, "GHOST")], [], [f"{path}:3: bad date '2020-13', month must be 1..12"])
+    fold = ingestion._fold_deliveries(path, OFFSETS, 2020, 2)
+    assert fold == fold_in_one_process(path)
+    assert fold[1:] == ([(4, "GHOST")], {}, [], [f"{path}:3: bad date '2020-13', month must be 1..12"])
 
 
 @pytest.mark.parametrize("platform", ["failing-fork", "one-cpu"])
 def test_the_fold_without_a_child_gives_the_split_result(platform, split_fold, bundled_paths, monkeypatch):
     forks = count_forks(monkeypatch)
-    split = parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+    split = parse_inputs(
+        bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
     assert len(forks) == 1
     if platform == "failing-fork":
         def failing_fork():
@@ -353,9 +403,9 @@ def test_the_fold_without_a_child_gives_the_split_result(platform, split_fold, b
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU to run on"))
-    history, entries, snapshots = parse_inputs(
-        bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
-    assert ordered((history,)) == ordered((split[0],))
+    series, entries, snapshots = parse_inputs(
+        bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    assert list(series.items()) == list(split[0].items())
     assert (entries, snapshots) == split[1:]
 
 
@@ -367,7 +417,7 @@ def test_a_split_fold_reaps_its_child_and_keeps_the_freeze_count(caller_froze, s
         gc.freeze()
     try:
         frozen = gc.get_freeze_count()
-        parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+        parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
@@ -389,7 +439,7 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_offset(name, offset, bund
     paths = dict(bundled_paths)
     paths[name] = copy_with_byte(bundled_paths[name], tmp_path / f"{name}.csv", offset, 0xFF)
     with pytest.raises(InputError) as exc:
-        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"])
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2019, 3)
     assert str(exc.value) == f"{paths[name]}: cannot read file (invalid UTF-8 at byte {offset}: invalid start byte)"
 
 
@@ -407,7 +457,7 @@ def test_a_split_fold_names_bytes_that_are_not_utf8_as_one_process_does(offset, 
     copy_with_byte(path, path, offset, 0xFF)
     forks = count_forks(monkeypatch)
     with pytest.raises(InputError) as exc:
-        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"])
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
     assert str(exc.value) == f"{path}: cannot read file (invalid UTF-8 at byte {offset}: invalid start byte)"
     assert len(forks) == 1
     assert_no_child_left()
@@ -426,7 +476,7 @@ def test_an_os_error_in_the_fold_child_keeps_its_type_and_message(split_fold, bu
     monkeypatch.setattr(os, "pread", pread)
     forks = count_forks(monkeypatch)
     with pytest.raises(InputError) as exc:
-        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"])
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
     assert str(exc.value) == f"{path}: cannot read file ([Errno 5] Input/output error)"
     assert len(forks) == 1
     assert_no_child_left()

@@ -173,7 +173,8 @@ def test_carton_fit_keeps_int_and_float_dimensions_apart():
 
 
 def test_volumetric_plan_matches_a_direct_fit_for_every_bundled_entry(bundled_paths):
-    _, entries, _ = parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"])
+    _, entries, _ = parse_inputs(
+        bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
     for pallet in (DEFAULT_PALLET, PalletSpec(1000, 1000, 1000), PalletSpec(1200.5, 800, 1500)):
         for entry in entries:
             per_pallet, orientation = cartons_per_pallet(entry.carton_dims, pallet)
