@@ -5,6 +5,12 @@ line), a product catalog (price, urgency, packaging geometry) and an
 on-hand stock snapshot. Parsing is strict: every bad row is reported with
 its file and line number, and nothing is dropped silently.
 
+The delivery file is read in pieces of about `_CHUNK` bytes cut at line
+ends. A piece with no `"` or lone CR, three fields on every line, ids
+cataloged (raw or stripped), dates in the window and quantities >= 0 is
+checked whole, then added at once (`_fold_texts`); from the first other
+piece on, a csv reader folds row by row (`_fold_rows`), naming each fault.
+
 A delivery file of `SPLIT_FLOOR` bytes or more is folded in two processes
 where `os.fork` exists, two CPUs are usable and no `"` or lone CR comes
 before the split, the first line end past the middle byte: a forked child
@@ -208,8 +214,8 @@ def _preads(fd, start, stop):
     return (os.pread(fd, min(_CHUNK, stop - pos), pos) for pos in range(start, stop, _CHUNK))
 
 
-def _lines(pieces, offset=0):
-    """The lines of UTF-8 bytes from file offset `offset`, each with its end, as `newline=""` reads.
+def _texts(pieces, offset=0):
+    """The UTF-8 bytes from file offset `offset` as text, in nonempty pieces that end at line ends.
 
     Bytes that are not UTF-8 raise `UnicodeError` naming their offset in the file.
     """
@@ -223,7 +229,13 @@ def _lines(pieces, offset=0):
         except UnicodeDecodeError as exc:
             raise UnicodeError(f"invalid UTF-8 at byte {offset + exc.start}: {exc.reason}") from None
         offset, rest = offset + cut, data[cut:]
-        yield from io.StringIO(text, newline="")
+        if text:
+            yield text
+
+
+def _lines(texts):
+    """The lines of pieces of text, each with its end, as `newline=""` reads."""
+    return itertools.chain.from_iterable(map(partial(io.StringIO, newline=""), texts))
 
 
 def _data_rows(lines, path, expected_header, problems):
@@ -248,7 +260,7 @@ def _read_keyed(path, expected_header, build):
     shape, bad, rows = [], [], ()
     try:
         with open(path, "rb") as fh:
-            rows = list(_data_rows(_lines(_reads(fh)), path, expected_header, shape) or ())
+            rows = list(_data_rows(_lines(_texts(_reads(fh))), path, expected_header, shape) or ())
     except (OSError, UnicodeError) as exc:
         shape.append(f"{path}: cannot read file ({exc})")
     parsed = {}
@@ -296,9 +308,9 @@ def _stock_snapshot(pid, on_hand_text):
     return StockSnapshot(pid, _parse_int(on_hand_text, 0, "on_hand"))
 
 
-def _fold_rows(rows, first_line, path, offsets, start_year, n_years):
-    """Fold csv rows, the first at line `first_line`, into month slots, as `_fold_deliveries` does."""
-    slots, uncataloged, outside, shape, bad = [0] * (12 * n_years * len(offsets)), [], {}, [], []
+def _fold_rows(rows, first_line, path, offsets, start_year, n_years, slots=None):
+    """Fold csv rows, the first at line `first_line`, into month slots (or into `slots`), one at a time."""
+    slots, uncataloged, outside, shape, bad = slots or [0] * (12 * n_years * len(offsets)), [], {}, [], []
     ids, months = dict(offsets), {}  # exact raw text -> offset, slot; learned from checked rows
     for line_no, row in enumerate(rows, start=first_line):
         try:
@@ -332,6 +344,31 @@ def _fold_rows(rows, first_line, path, offsets, start_year, n_years):
             ids[pid], months[date_text] = offsets[key], slot
             slots[offsets[key] + slot] += quantity
     return slots, uncataloged, outside, shape, bad
+
+
+def _fold_texts(texts, line_no, path, offsets, start_year, n_years):
+    """Fold pieces of delivery text, the first from line `line_no`, at once or by row (see the module)."""
+    slots, ids, months = [0] * (12 * n_years * len(offsets)), dict(offsets), {}  # raw text -> offset, slot
+    window = {(start_year + slot // 12, slot % 12 + 1): slot for slot in range(12 * n_years)}
+    for text in texts:
+        body = text.replace("\r\n", "\n").rstrip("\n")
+        cells = body.replace("\n", "\n,").split(",")  # only quantity cells end in "\n" if every line has 3
+        pids, dates = cells[0::3], cells[1::3]
+        new_ids, new_dates = set(pids) - ids.keys(), set(dates) - months.keys()
+        try:
+            quantities = list(map(int, cells[2::3]))
+            if ('"' in body or "\r" in body or len(cells) != 3 * body.count("\n") + 3 or min(quantities) < 0
+                    or "\n" in "".join(new_ids) + "".join(new_dates) or len(text) > csv.field_size_limit()):
+                raise ValueError("not plain lines of three fields")
+            ids.update((raw, offsets[raw.strip()]) for raw in new_ids)
+            months.update((raw, window[_parse_year_month(raw)]) for raw in new_dates)
+        except (ValueError, KeyError):
+            return _fold_rows(csv.reader(_lines(itertools.chain((text,), texts))), line_no, path, offsets,
+                              start_year, n_years, slots)
+        for at, quantity in zip(map(operator.add, map(ids.get, pids), map(months.get, dates)), quantities):
+            slots[at] += quantity
+        line_no += text.count("\n")
+    return slots, [], {}, [], []
 
 
 def _split_point(fh, size):
@@ -373,17 +410,17 @@ def _fold_deliveries(path, offsets, start_year, n_years):
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             split, lfs = (size >= SPLIT_FLOOR and _can_fork() and _split_point(fh, size)) or (None, 0)
-            pieces = _preads(fh.fileno(), 0, split) if split else _reads(fh)
-            rows = _data_rows(_lines(pieces), path, DELIVERIES_HEADER, shape)
-            if rows is None:
+            texts = _texts(_preads(fh.fileno(), 0, split) if split else _reads(fh))
+            head = io.StringIO(next(texts, ""), newline="")  # the header record, then the rest of its piece
+            if _data_rows(head, path, DELIVERIES_HEADER, shape) is None:
                 return [], [], {}, shape, []
+            texts = itertools.chain((head.read(),), texts)
             if not split:
-                return _fold_rows(rows, 2, path, offsets, start_year, n_years)
-            fh.seek(split)
+                return _fold_texts(texts, 2, path, offsets, start_year, n_years)
             first, second = _in_two(
-                lambda: _fold_rows(rows, 2, path, offsets, start_year, n_years),
-                lambda: _fold_rows(csv.reader(_lines(_reads(fh), split)), lfs + 1, path, offsets,
-                                   start_year, n_years),
+                lambda: _fold_texts(texts, 2, path, offsets, start_year, n_years),
+                lambda: _fold_texts(_texts(_preads(fh.fileno(), split, size), split), lfs + 1, path, offsets,
+                                    start_year, n_years),
             )
             # Slots and lists add up; a product's first slot outside the window is the first half's.
             return (list(map(operator.add, first[0], second[0])), first[1] + second[1],

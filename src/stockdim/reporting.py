@@ -16,8 +16,9 @@ are streamed (`report`: forecast.csv and gap.csv), one forked writer
 child renders the files before gap.csv while this process renders
 gap.csv and summary.json; the error raised is that of the earliest file
 in order that failed, as in one process. A failed run thus
-keeps the previous outputs; as the commit is one rename per file, only
-a crash or failed rename between two of them can leave the set mixed.
+keeps the previous outputs. The commit is one rename per file; a failed
+rename puts back the files replaced before it from hard links made
+first, so only a crash between two renames can leave the set mixed.
 `parse_inputs` may likewise fold the first half of a large delivery file
 in a forked child (see `ingestion`), with the results and errors of one
 process.
@@ -276,9 +277,21 @@ def write_reports(out_dir, reports) -> dict:
         finally:
             for job in jobs:
                 job[2].close()
-        files = {name: out_dir / name for name in reports}
-        for name, path in files.items():
-            os.replace(os.path.join(tmp, name), path)
+        files, kept = {name: out_dir / name for name in reports}, tempfile.mkdtemp(dir=tmp)
+        try:  # a hard link to each file a rename replaces, so that a failed rename can be undone
+            for name, path in files.items():
+                if path.exists():
+                    os.link(path, os.path.join(kept, name))
+        except OSError:  # no hard links here
+            kept = None
+        for done, (name, path) in enumerate(files.items()):
+            try:
+                os.replace(os.path.join(tmp, name), path)
+            except OSError:
+                for name in list(files)[:done] if kept else ():  # the previous file back, or none
+                    old = os.path.join(kept, name)
+                    os.replace(old, files[name]) if os.path.exists(old) else os.remove(files[name])
+                raise
     return files
 
 

@@ -243,6 +243,45 @@ def test_failure_while_a_stream_is_written_keeps_the_previous_outputs(bundled_pa
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("previous, failing", [("report", k) for k in range(1, 7)] + [("classify", 6)])
+def test_a_failed_rename_puts_the_previous_outputs_back(previous, failing, bundled_paths, tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "out"
+    assert invoke([previous] + base_args(bundled_paths, out)).exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_replace, renames = os.replace, []
+
+    def replace(source, target):
+        renames.append(target)
+        if len(renames) == failing:
+            raise OSError(28, "No space left on device")
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", replace)
+    result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
+    monkeypatch.undo()
+    assert result.exit_code == 1
+    assert result.output == "Error: [Errno 28] No space left on device\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not list(out.glob(".stockdim-*"))
+    assert invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out)).exit_code == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} != before  # so that the files put back differ
+
+
+def test_a_run_where_hard_links_are_refused_still_writes_its_outputs(bundled_paths, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out)).exit_code == 0
+    expected = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
+
+    def link(source, target):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", link)
+    assert invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out)).exit_code == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+
 def last_line(result):
     return result.output.splitlines()[-1]
 
@@ -499,14 +538,14 @@ def test_importing_the_cli_loads_no_pickle_or_process_pool_module():
 
 @pytest.mark.usefixtures("split_fold")
 def test_a_fold_child_that_dies_fails_the_run_before_the_output_directory(bundled_paths, tmp_path, monkeypatch):
-    real_fold_rows, parent = ingestion._fold_rows, os.getpid()
+    real_fold_texts, parent = ingestion._fold_texts, os.getpid()
 
-    def fold_rows(*args):  # the child folds the first half of the delivery file
+    def fold_texts(*args):  # the child folds the first half of the delivery file
         if os.getpid() != parent:
             os._exit(3)
-        return real_fold_rows(*args)
+        return real_fold_texts(*args)
 
-    monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
+    monkeypatch.setattr(ingestion, "_fold_texts", fold_texts)
     result = invoke(["report"] + base_args(bundled_paths, tmp_path / "out"))
     assert result.exit_code == 1
     assert result.output == "Error: the forked child process exited with status 3\n"

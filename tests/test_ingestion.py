@@ -480,3 +480,81 @@ def test_an_os_error_in_the_fold_child_keeps_its_type_and_message(split_fold, bu
     assert str(exc.value) == f"{path}: cannot read file ([Errno 5] Input/output error)"
     assert len(forks) == 1
     assert_no_child_left()
+
+
+CLEAN_ROWS = ("A,2020-01,1", "B,2020-02-03,22", " C ,2021-12 ,3", "P1, 2021-06-30,40", "A ,2020-07, 5")
+
+
+def text_over_reads(newline, middles):
+    """Rows over one read of the fold per entry of `middles`, with that entry (if any) as the read's middle line."""
+    rows = CLEAN_ROWS * (ingestion._CHUNK // 2 // len(newline.join(CLEAN_ROWS + ("",))))
+    half = "".join(row + newline for row in rows)
+    return "".join(half + (middle + newline if middle else "") + half for middle in middles)
+
+
+@pytest.mark.parametrize("newline, middles, end, fallback_piece", [
+    ("\n", ("", "", "", ""), "", None),
+    ("\r\n", ("", "", "", ""), "", None),
+    ("\n", ("", "", "", ""), "\n", None),  # a trailing blank line
+    ("\r\n", ("", "", "", ""), None, None),  # the last line has no line end
+    ("\n", ("", "B,2020-13,1", "", ""), "", 1),
+    ("\r\n", ("C,2019-12,5", "", "", ""), "", 0),
+    ("\r\n", ("", "", '"A",2020-01,3', ""), "", 2),
+    ("\n", ("", "B,2021-03\n4,B,2021-03,4", "", ""), "", 1),  # 3 fields a line on average, not on each
+    ("\n", ("", "", "C\r,2021-01,2", ""), "", 2),  # a lone CR ends a row
+    ("\n", ("", "", "", ""), "B,2020-02,2\n" * 3 + "A,2020-01\n", 3),  # the last line has 2 fields
+], ids=["lf", "crlf", "trailing-blank-line", "no-last-line-end", "bad-row-in-second-piece",
+        "outside-in-first-piece", "quote-in-third-piece", "2-and-4-fields", "lone-cr-in-third-piece",
+        "short-last-line"])
+@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
+def test_a_fold_of_many_pieces_gives_what_the_row_fold_gives(newline, middles, end, fallback_piece, forked,
+                                                            two_cpus, tmp_path, monkeypatch):
+    text = text_over_reads(newline, middles)
+    path = write_deliveries(tmp_path / "deliveries.csv", text.rstrip("\r\n") if end is None else text + end)
+    monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0 if forked else math.inf)
+    expected, real_fold_rows, fallbacks = fold_in_one_process(path), ingestion._fold_rows, []
+
+    def fold_rows(rows, first_line, *args):
+        fallbacks.append(first_line)
+        return real_fold_rows(rows, first_line, *args)
+
+    monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
+    assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == expected
+    if not forked:  # the rows from the first piece that fails a check on: that piece starts near a read's end
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert [round(len(b"".join(lines[:line - 1])) / ingestion._CHUNK) for line in fallbacks] == (
+            [] if fallback_piece is None else [fallback_piece])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
+def test_a_clean_file_is_folded_without_the_row_fold(newline, forked, two_cpus, bundled_paths, tmp_path,
+                                                      monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0 if forked else math.inf)
+    once = parse_inputs(*bundled_paths.values(), 2019, 3)[0]
+
+    def fold_rows(*args):
+        raise AssertionError("a clean delivery file went through the row fold")
+
+    monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
+    forks = count_forks(monkeypatch)
+    series = parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)[0]
+    assert {pid: s.values for pid, s in series.items()} == {
+        pid: tuple(5 * v for v in s.values) for pid, s in once.items()}
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
+def test_a_quote_opens_a_field_also_where_catalog_ids_hold_quotes(tmp_path):
+    catalog = tmp_path / "catalog.csv"
+    with open(catalog, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([CATALOG_HEADER] + [(pid, "Product", 1.0, 0, 10, 400, 300, 200)
+                                                     for pid in ('"A', 'B"')])
+    stock = write_csv(tmp_path / "stock.csv", "product_id,on_hand", [])
+    deliveries = write_deliveries(tmp_path / "deliveries.csv", '"A,2020-01,3\nB",2020-01,4\n')
+    with pytest.raises(InputError) as exc:
+        parse_inputs(deliveries, catalog, stock, 2020, 2)
+    assert str(exc.value) == f"{deliveries}:2: product 'A,2020-01,3\\nB' not in catalog"
