@@ -198,10 +198,10 @@ _CHUNK = 1 << 16  # bytes read at a time
 
 # A delivery file of at least this many bytes is folded in two processes
 # where that is possible. Loading prefixes of a 205k-row file into month
-# slots in fresh interpreters, with both CPUs running, the split took 1.09
-# of the one-process time at 128 KiB, 0.87 at 256 KiB and 0.80 at 384 KiB:
-# fork, scan and join cost a few ms.
-SPLIT_FLOOR = 256 << 10
+# slots in fresh interpreters, with both CPUs running, the split took 1.26
+# of the one-process time at 128 KiB, 1.02 at 256 KiB, 0.92 at 384 KiB and
+# 0.83 at 512 KiB: fork, scan and join cost a few ms.
+SPLIT_FLOOR = 384 << 10
 
 
 def _reads(fh):
