@@ -290,7 +290,10 @@ def write_reports(out_dir, reports) -> dict:
             except OSError:
                 for name in list(files)[:done] if kept else ():  # the previous file back, or none
                     old = os.path.join(kept, name)
-                    os.replace(old, files[name]) if os.path.exists(old) else os.remove(files[name])
+                    if os.path.exists(old):
+                        os.replace(old, files[name])
+                    else:
+                        os.remove(files[name])
                 raise
     return files
 

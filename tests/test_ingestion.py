@@ -486,7 +486,7 @@ CLEAN_ROWS = ("A,2020-01,1", "B,2020-02-03,22", " C ,2021-12 ,3", "P1, 2021-06-3
 
 
 def text_over_reads(newline, middles):
-    """Rows over one read of the fold per entry of `middles`, with that entry (if any) as the read's middle line."""
+    """Rows over one read of the fold per entry of `middles`, a nonempty entry as its read's middle line."""
     rows = CLEAN_ROWS * (ingestion._CHUNK // 2 // len(newline.join(CLEAN_ROWS + ("",))))
     half = "".join(row + newline for row in rows)
     return "".join(half + (middle + newline if middle else "") + half for middle in middles)
@@ -520,7 +520,7 @@ def test_a_fold_of_many_pieces_gives_what_the_row_fold_gives(newline, middles, e
 
     monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
     assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == expected
-    if not forked:  # the rows from the first piece that fails a check on: that piece starts near a read's end
+    if not forked:  # the row fold starts at the first line of the failing piece, which begins near a read's end
         lines = path.read_bytes().splitlines(keepends=True)
         assert [round(len(b"".join(lines[:line - 1])) / ingestion._CHUNK) for line in fallbacks] == (
             [] if fallback_piece is None else [fallback_piece])
