@@ -6,16 +6,20 @@ on-hand stock snapshot. Parsing is strict: every bad row is reported with
 its file and line number, and nothing is dropped silently.
 
 The delivery file is read in pieces of about `_CHUNK` bytes cut at line
-ends. A piece with no `"` or lone CR, three fields on every line, ids
-cataloged (raw or stripped), dates in the window and quantities >= 0 is
-checked whole, then added at once (`_fold_texts`); from the first other
-piece on, a csv reader folds row by row (`_fold_rows`), naming each fault.
+ends. A piece whose lines, blank ones left out, each hold three plain
+cells (no line end in one, and a `"` only at both ends of a quoted one),
+with no lone CR, ids cataloged once unquoted and stripped, dates in the
+window and quantities >= 0, is checked whole, then added at once
+(`_fold_texts`); from the first other piece on, a csv reader folds row by
+row (`_fold_rows`), naming each fault.
 
 A delivery file of `SPLIT_FLOOR` bytes or more is folded in two processes
-where `os.fork` exists, two CPUs are usable and no `"` or lone CR comes
-before the split, the first line end past the middle byte: a forked child
-folds the lines before it while this process folds the rest. The series
-and every error message are those of one process.
+where `os.fork` exists and two CPUs are usable: a forked child folds the
+lines before the split, the first line end past the middle byte, at once,
+while this process folds the rest. A first half that folds at once has no
+open quote and no lone CR, so each of its line ends ends a row; where it
+does not, this process drops its half and folds the whole file alone. The
+series and every error message are those of one process.
 """
 
 import csv
@@ -238,21 +242,21 @@ def _lines(texts):
     return itertools.chain.from_iterable(map(partial(io.StringIO, newline=""), texts))
 
 
-def _data_rows(lines, path, expected_header, problems):
-    """A csv reader positioned past a checked header (after any byte order mark), or None."""
-    reader = csv.reader(lines)
-    first = next(reader, None)
+def _data_texts(pieces, path, expected_header, problems):
+    """The text of a file's binary `pieces` past a checked header (after any byte order mark), in pieces, or None."""
+    texts = _texts(pieces)
+    head = io.StringIO(next(texts, "").removeprefix("\ufeff"), newline="")  # the header record, then the rest
+    first = next(csv.reader(head), None)
     if first is None:
         problems.append(f"{path}: file is empty, expected header {','.join(expected_header)}")
         return None
-    first[0] = first[0].removeprefix("\ufeff")
     header = tuple(cell.strip() for cell in first)
     if header != expected_header:
         problems.append(
             f"{path}:1: expected header {','.join(expected_header)}, got {','.join(header)}"
         )
         return None
-    return reader
+    return itertools.chain((head.read(),), texts)
 
 
 def _read_keyed(path, expected_header, build):
@@ -260,7 +264,8 @@ def _read_keyed(path, expected_header, build):
     shape, bad, rows = [], [], ()
     try:
         with open(path, "rb") as fh:
-            rows = list(_data_rows(_lines(_texts(_reads(fh))), path, expected_header, shape) or ())
+            texts = _data_texts(_reads(fh), path, expected_header, shape)
+            rows = list(csv.reader(_lines(texts))) if texts else ()
     except (OSError, UnicodeError) as exc:
         shape.append(f"{path}: cannot read file ({exc})")
     parsed = {}
@@ -311,16 +316,7 @@ def _stock_snapshot(pid, on_hand_text):
 def _fold_rows(rows, first_line, path, offsets, start_year, n_years, slots=None):
     """Fold csv rows, the first at line `first_line`, into month slots (or into `slots`), one at a time."""
     slots, uncataloged, outside, shape, bad = slots or [0] * (12 * n_years * len(offsets)), [], {}, [], []
-    ids, months = dict(offsets), {}  # exact raw text -> offset, slot; learned from checked rows
     for line_no, row in enumerate(rows, start=first_line):
-        try:
-            pid, date_text, qty_text = row
-            quantity = int(qty_text)
-            if quantity >= 0:
-                slots[ids[pid] + months[date_text]] += quantity
-                continue
-        except (ValueError, KeyError):
-            pass
         if len(row) != 3:
             if row:  # tolerate blank lines
                 shape.append(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
@@ -341,57 +337,54 @@ def _fold_rows(rows, first_line, path, offsets, start_year, n_years, slots=None)
         elif not 0 <= slot < 12 * n_years:
             outside.setdefault(key, slot)
         else:
-            ids[pid], months[date_text] = offsets[key], slot
             slots[offsets[key] + slot] += quantity
     return slots, uncataloged, outside, shape, bad
 
 
-def _fold_texts(texts, line_no, path, offsets, start_year, n_years):
-    """Fold pieces of delivery text, the first from line `line_no`, at once or by row (see the module)."""
-    slots, ids, months = [0] * (12 * n_years * len(offsets)), dict(offsets), {}  # raw text -> offset, slot
+def _plain(cell):
+    """The field that csv reads from `cell`, which must hold no line end, and a `"` only at both of its ends."""
+    field = cell[1:-1] if len(cell) > 1 and cell[0] == cell[-1] == '"' else cell
+    if '"' in field or "\n" in field:
+        raise ValueError(f"not a plain cell: {cell!r}")
+    return field
+
+
+def _fold_texts(texts, line_no, path, offsets, start_year, n_years, at_once=False):
+    """Fold pieces of delivery text, the first at line `line_no`, as `_fold_rows` does; `at_once`, to slots or None."""
+    slots, ids, months, quantities = [0] * (12 * n_years * len(offsets)), {}, {}, {}  # cell -> offset, slot, value
     window = {(start_year + slot // 12, slot % 12 + 1): slot for slot in range(12 * n_years)}
     for text in texts:
-        body = text.replace("\r\n", "\n").rstrip("\n")
+        body = text.replace("\r\n", "\n").strip("\n")
+        while "\n\n" in body:  # csv reads a blank line as no row
+            body = body.replace("\n\n", "\n")
         cells = body.replace("\n", "\n,").split(",")  # only quantity cells end in "\n" if every line has 3
-        pids, dates = cells[0::3], cells[1::3]
-        new_ids, new_dates = set(pids) - ids.keys(), set(dates) - months.keys()
+        pids, dates, counts = cells[0::3], cells[1::3], cells[2::3]
         try:
-            quantities = list(map(int, cells[2::3]))
-            if ('"' in body or "\r" in body or len(cells) != 3 * body.count("\n") + 3 or min(quantities) < 0
-                    or "\n" in "".join(new_ids) + "".join(new_dates) or len(text) > csv.field_size_limit()):
+            if "\r" in body or len(cells) != 3 * body.count("\n") + 3 or len(text) > csv.field_size_limit():
                 raise ValueError("not plain lines of three fields")
-            ids.update((raw, offsets[raw.strip()]) for raw in new_ids)
-            months.update((raw, window[_parse_year_month(raw)]) for raw in new_dates)
+            ids.update((cell, offsets[_plain(cell).strip()]) for cell in set(pids) - ids.keys())
+            months.update((cell, window[_parse_year_month(_plain(cell))]) for cell in set(dates) - months.keys())
+            quantities.update((cell, _parse_int(_plain(cell.removesuffix("\n")), 0, "quantity"))
+                              for cell in set(counts) - quantities.keys())
         except (ValueError, KeyError):
+            if at_once:
+                for _ in texts:  # decode the rest, so that a byte that is not UTF-8 there is named first
+                    pass
+                return None
             return _fold_rows(csv.reader(_lines(itertools.chain((text,), texts))), line_no, path, offsets,
                               start_year, n_years, slots)
-        for at, quantity in zip(map(operator.add, map(ids.get, pids), map(months.get, dates)), quantities):
+        for at, quantity in zip(map(operator.add, map(ids.get, pids), map(months.get, dates)),
+                                map(quantities.get, counts)):
             slots[at] += quantity
         line_no += text.count("\n")
-    return slots, [], {}, [], []
+    return slots if at_once else (slots, [], {}, [], [])
 
 
 def _split_point(fh, size):
-    """Where to fold binary file `fh` in two, as (offset, LF count before it), or None.
-
-    The offset is just past the first LF after the middle byte. It ends a
-    csv record, and each LF before it ends one, only where no byte before
-    it is `"` or a CR outside a CRLF: a quoted field may hold a line end,
-    and a lone CR ends a record.
-    """
+    """Where to fold binary file `fh` in two: just past the first LF after the middle byte, and the LFs before it."""
     fh.seek(size // 2)
     split = size // 2 + len(fh.readline())
-    fh.seek(0)
-    lfs = lone_crs = 0
-    last = b""
-    for piece in _preads(fh.fileno(), 0, split):
-        if b'"' in piece:
-            return None
-        lfs += piece.count(b"\n")
-        if b"\r" in piece or last == b"\r":
-            lone_crs += piece.count(b"\r") - (last + piece).count(b"\r\n")
-        last = piece[-1:]
-    return None if lone_crs else (split, lfs)
+    return split, sum(piece.count(b"\n") for piece in _preads(fh.fileno(), 0, split))
 
 
 def _fold_deliveries(path, offsets, start_year, n_years):
@@ -402,29 +395,25 @@ def _fold_deliveries(path, offsets, start_year, n_years):
     the (line_number, product_id) of valid lines naming a product outside
     `offsets`, each cataloged product's first slot outside the window, and
     the field-count and field-value problems. Where the module docstring
-    says, the halves before and after `_split_point` are folded at once
-    (`forking._in_two`) and added up.
+    says, a child folds the half before `_split_point` at once while this
+    process folds the rest (`forking._in_two`), or this one folds it all.
     """
     shape = []
+    fold = partial(_fold_texts, path=path, offsets=offsets, start_year=start_year, n_years=n_years)
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
+            fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
             split, lfs = (size >= SPLIT_FLOOR and _can_fork() and _split_point(fh, size)) or (None, 0)
-            texts = _texts(_preads(fh.fileno(), 0, split) if split else _reads(fh))
-            head = io.StringIO(next(texts, ""), newline="")  # the header record, then the rest of its piece
-            if _data_rows(head, path, DELIVERIES_HEADER, shape) is None:
+            texts = _data_texts(_preads(fd, 0, split or size), path, DELIVERIES_HEADER, shape)  # before any fork
+            if texts is None:
                 return [], [], {}, shape, []
-            texts = itertools.chain((head.read(),), texts)
-            if not split:
-                return _fold_texts(texts, 2, path, offsets, start_year, n_years)
-            first, second = _in_two(
-                lambda: _fold_texts(texts, 2, path, offsets, start_year, n_years),
-                lambda: _fold_texts(_texts(_preads(fh.fileno(), split, size), split), lfs + 1, path, offsets,
-                                    start_year, n_years),
-            )
-            # Slots and lists add up; a product's first slot outside the window is the first half's.
-            return (list(map(operator.add, first[0], second[0])), first[1] + second[1],
-                    second[2] | first[2], first[3] + second[3], first[4] + second[4])
+            if split:
+                first, second = _in_two(lambda: fold(texts, 2, at_once=True),
+                                        lambda: fold(_texts(_preads(fd, split, size), split), lfs + 1))
+                if first is not None:  # every list but the slots is empty in a half folded at once
+                    return (list(map(operator.add, first, second[0])),) + second[1:]
+                texts = _data_texts(_preads(fd, 0, size), path, DELIVERIES_HEADER, shape)  # the whole file, here
+            return fold(texts, 2)
     except ChildProcessError:  # a child that died says nothing of the file
         raise
     except (OSError, UnicodeError) as exc:

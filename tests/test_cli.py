@@ -540,10 +540,10 @@ def test_importing_the_cli_loads_no_pickle_or_process_pool_module():
 def test_a_fold_child_that_dies_fails_the_run_before_the_output_directory(bundled_paths, tmp_path, monkeypatch):
     real_fold_texts, parent = ingestion._fold_texts, os.getpid()
 
-    def fold_texts(*args):  # the child folds the first half of the delivery file
+    def fold_texts(*args, **kwargs):  # the child folds the first half of the delivery file
         if os.getpid() != parent:
             os._exit(3)
-        return real_fold_texts(*args)
+        return real_fold_texts(*args, **kwargs)
 
     monkeypatch.setattr(ingestion, "_fold_texts", fold_texts)
     result = invoke(["report"] + base_args(bundled_paths, tmp_path / "out"))

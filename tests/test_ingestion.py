@@ -105,6 +105,21 @@ def test_unknown_header_is_rejected(tiny_inputs, tmp_path):
         parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
 
 
+@pytest.mark.parametrize("name", ["deliveries", "stock"])
+def test_a_header_is_read_past_a_byte_order_mark_and_not_past_a_blank_line(name, tiny_inputs, tmp_path):
+    paths = dict(tiny_inputs)
+    header, _, body = paths[name].read_text(encoding="utf-8").partition("\n")
+    quoted = ",".join(f'"{cell}"' for cell in header.split(","))  # as R's write.csv writes it
+    paths[name] = tmp_path / "marked.csv"
+    paths[name].write_bytes(b"\xef\xbb\xbf" + f"{quoted}\n{body}".encode())
+    assert parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2) == parse_inputs(
+        tiny_inputs["deliveries"], tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
+    paths[name].write_text(f"\n{header}\n{body}", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
+    assert str(exc.value) == f"{paths[name]}:1: expected header {header}, got "
+
+
 def test_delivery_for_uncataloged_product_is_an_error(tiny_inputs, tmp_path):
     bad = write_csv(
         tmp_path / "deliveries.csv",
@@ -343,7 +358,9 @@ PLAIN_LINES = st.tuples(st.one_of(*[VALID_ROWS] * 6, ANY_ROWS),  # so that some 
                         st.sampled_from(["\n", "\r\n"])).map("".join)
 QUOTED_OR_CR_LINES = st.one_of(
     PLAIN_LINES,
-    st.sampled_from(['"A",2020-01,3\n', '"A\nB",2020-01,3\n', '"B\r\n",2020-01,1\r\n', "A,2020-04,2\r"]),
+    st.sampled_from(['"A",2020-01,3\n', '"A\nB",2020-01,3\n', '"B\r\n",2020-01,1\r\n', "A,2020-04,2\r",
+                     '"A","2020-01","3"\n', '"B"," 2021-06 ","4"\r\n', '"",2020-01,3\n', ' "A",2020-01,3\n',
+                     '"A" ,2020-01,3\n', '"A""",2020-01,3\n', 'A,2020-01,"-1"\n', "\n", "\r\n"]),
 )
 
 
@@ -362,21 +379,29 @@ def test_a_split_fold_gives_what_one_process_gives(split_fold, tmp_path_factory,
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("first_half, second_half, forked", [
+@pytest.mark.parametrize("first_half, second_half, refolded", [
     ("A,2020-01,1\r\nGHOST,2020-02,2\r\n" * 20, 'B,2020-03,3\n"GHOST",2020-04,4\r\n' * 20, True),
-    ('"A",2020-01,1\n' + "B,2020-02,2\n" * 40, "A,2020-03,3\n" * 40, False),
-    ("A,2020-01,1\rB,2020-02,2\n" * 20, "A,2020-03,3\n" * 40, False),
-    ("A,2020-01," + "0" * 300 + "1\n", "B,2021-02,2", True),  # the second half is a last line with no end
-    ("A,2020-01,1\n" * 2, "B,2021-02," + "0" * 300 + "2\n", True),  # the split lands on the end of the file
+    ('"A",2020-01,1\n' + "B,2020-02,2\n" * 40, "A,2020-03,3\n" * 40, False),  # one whole quoted field
+    ('"A\nB",2020-01,1\n' + "B,2020-02,2\n" * 40, "A,2020-03,3\n" * 40, True),  # a quoted line end
+    ("A,2020-01,1\rB,2020-02,2\n" * 20, "A,2020-03,3\n" * 40, True),
+    ("A,2020-01," + "0" * 300 + "1\n", "B,2021-02,2", False),  # the second half is a last line with no end
+    ("A,2020-01,1\n" * 2, "B,2021-02," + "0" * 300 + "2\n", False),  # the split lands on the end of the file
     ("A,2019-12,1\n" + "A,2020-01,1\n" * 40, "A,2022-01,1\n" * 40, True),  # outside the window in both
-], ids=["quote-in-second-half", "quote-in-first-half", "lone-cr-in-first-half", "last-line", "end-of-file",
-        "outside-in-both-halves"])
-def test_the_fold_splits_only_where_every_line_end_ends_a_row(first_half, second_half, forked, split_fold,
+], ids=["quote-in-second-half", "quote-in-first-half", "quoted-line-end-in-first-half", "lone-cr-in-first-half",
+        "last-line", "end-of-file", "outside-in-both-halves"])
+def test_the_fold_splits_only_where_every_line_end_ends_a_row(first_half, second_half, refolded, split_fold,
                                                              tmp_path, monkeypatch):
-    forks = count_forks(monkeypatch)
+    forks, real_fold_texts, folds = count_forks(monkeypatch), ingestion._fold_texts, []
+
+    def fold_texts(texts, line_no, **kwargs):  # the appends of the child stay in the child
+        folds.append(line_no)
+        return real_fold_texts(texts, line_no, **kwargs)
+
+    monkeypatch.setattr(ingestion, "_fold_texts", fold_texts)
     path = write_deliveries(tmp_path / "deliveries.csv", first_half + second_half)
     assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == fold_in_one_process(path)
-    assert len(forks) == forked
+    assert len(forks) == 1
+    assert folds[1:] == ([2] if refolded else [])  # after the second half, the whole file from line 2
 
 
 def test_a_crlf_across_two_reads_ends_one_line(tmp_path):
@@ -497,15 +522,17 @@ def text_over_reads(newline, middles):
     ("\r\n", ("", "", "", ""), "", None),
     ("\n", ("", "", "", ""), "\n", None),  # a trailing blank line
     ("\r\n", ("", "", "", ""), None, None),  # the last line has no line end
+    ("\r\n", ("", "\r\n", "", ""), "", None),  # two blank lines mid-file
     ("\n", ("", "B,2020-13,1", "", ""), "", 1),
     ("\r\n", ("C,2019-12,5", "", "", ""), "", 0),
-    ("\r\n", ("", "", '"A",2020-01,3', ""), "", 2),
+    ("\r\n", ("", "", '"A",2020-01,3', ""), "", None),
+    ("\r\n", ("", "", '"A""B",2020-01,3', ""), "", 2),
     ("\n", ("", "B,2021-03\n4,B,2021-03,4", "", ""), "", 1),  # 3 fields a line on average, not on each
     ("\n", ("", "", "C\r,2021-01,2", ""), "", 2),  # a lone CR ends a row
     ("\n", ("", "", "", ""), "B,2020-02,2\n" * 3 + "A,2020-01\n", 3),  # the last line has 2 fields
-], ids=["lf", "crlf", "trailing-blank-line", "no-last-line-end", "bad-row-in-second-piece",
-        "outside-in-first-piece", "quote-in-third-piece", "2-and-4-fields", "lone-cr-in-third-piece",
-        "short-last-line"])
+], ids=["lf", "crlf", "trailing-blank-line", "no-last-line-end", "blank-lines", "bad-row-in-second-piece",
+        "outside-in-first-piece", "quote-in-third-piece", "doubled-quote-in-third-piece", "2-and-4-fields",
+        "lone-cr-in-third-piece", "short-last-line"])
 @pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
 def test_a_fold_of_many_pieces_gives_what_the_row_fold_gives(newline, middles, end, fallback_piece, forked,
                                                             two_cpus, tmp_path, monkeypatch):
@@ -527,17 +554,13 @@ def test_a_fold_of_many_pieces_gives_what_the_row_fold_gives(newline, middles, e
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
-def test_a_clean_file_is_folded_without_the_row_fold(newline, forked, two_cpus, bundled_paths, tmp_path,
-                                                      monkeypatch):
-    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
-    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+def assert_folded_without_the_row_fold(path, forked, bundled_paths, monkeypatch):
+    """`path`, five bundled delivery copies, folds to five times the bundled series, `_fold_rows` never called."""
     monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0 if forked else math.inf)
     once = parse_inputs(*bundled_paths.values(), 2019, 3)[0]
 
     def fold_rows(*args):
-        raise AssertionError("a clean delivery file went through the row fold")
+        raise AssertionError("a plain delivery file went through the row fold")
 
     monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
     forks = count_forks(monkeypatch)
@@ -546,6 +569,64 @@ def test_a_clean_file_is_folded_without_the_row_fold(newline, forked, two_cpus, 
         pid: tuple(5 * v for v in s.values) for pid, s in once.items()}
     assert len(forks) == forked
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
+def test_a_clean_file_is_folded_without_the_row_fold(newline, forked, two_cpus, bundled_paths, tmp_path,
+                                                      monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    assert_folded_without_the_row_fold(path, forked, bundled_paths, monkeypatch)
+
+
+@pytest.mark.parametrize("quoting, newline, first_row", [
+    (csv.QUOTE_NONNUMERIC, "\n", '"DG-0001","2019-01",100'),  # as R's write.csv writes, the header quoted too
+    (csv.QUOTE_ALL, "\r\n", '"DG-0001","2019-01","100"'),
+], ids=["r-style", "all-quoted"])
+@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
+def test_a_quoted_file_is_folded_without_the_row_fold(quoting, newline, first_row, forked, two_cpus, bundled_paths,
+                                                       tmp_path, monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=quoting, lineterminator=newline).writerows(
+            [header] + [(pid, date_text, int(qty_text)) for pid, date_text, qty_text in rows])
+    assert path.read_text(encoding="utf-8").splitlines()[1] == first_row
+    assert_folded_without_the_row_fold(path, forked, bundled_paths, monkeypatch)
+
+
+@pytest.mark.parametrize("bad_bytes, message", [
+    ((), "{path}:2: bad date '2019-13', month must be 1..12"),
+    ((70000, 150000), "{path}: cannot read file (invalid UTF-8 at byte 70000: invalid start byte)"),
+], ids=["bad-row", "and-bytes-that-are-not-utf8-in-both-halves"])
+def test_a_split_fold_with_a_bad_row_on_line_2_gives_the_one_process_outcome(bad_bytes, message, split_fold,
+                                                                             bundled_paths, tmp_path, monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    path.write_text(f"{header}\nDG-0001,2019-13,1\n{body}", encoding="utf-8")
+    for offset in bad_bytes:
+        copy_with_byte(path, path, offset, 0xFF)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    assert str(exc.value) == message.format(path=path)
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.setattr(ingestion, "SPLIT_FLOOR", math.inf)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_a_delivery_file_with_a_bad_header_creates_no_child(split_fold, bundled_paths, tmp_path, monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    path.write_bytes(path.read_bytes().replace(b"product_id", b"product", 1))
+    forks = count_forks(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    assert str(exc.value) == f"{path}:1: expected header product_id,date,quantity, got product,date,quantity"
+    assert forks == []
 
 
 def test_a_quote_opens_a_field_also_where_catalog_ids_hold_quotes(tmp_path):
