@@ -81,38 +81,52 @@ class BacktestReport(NamedTuple):
     no_nonzero_actuals: bool = False
 
 
+def _prior_total(series: MonthlySeries, year: int) -> int:
+    """The deliveries of `year - 1`, a year the series must cover."""
+    prior = year - 1
+    if not series.covers(prior):
+        raise ValueError(
+            f"{series.product_id}: cannot derive the monthly need for {year}, "
+            f"year {prior} not covered by the series ({series.start_year}..{series.end_year})"
+        )
+    return annual_total(series, prior)
+
+
+def _month_weights(series: MonthlySeries, year: int) -> tuple:
+    """The 12 month sums over every year of the series before `year`, or (1,) * 12 if all are 0."""
+    fit_years = year - series.start_year
+    if fit_years < MIN_FIT_YEARS:
+        raise ValueError(
+            f"{series.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
+            f"seasonal indices, got {fit_years}"
+        )
+    weights = tuple(map(sum, zip(*[series.values[lo : lo + 12] for lo in range(0, 12 * fit_years, 12)])))
+    return weights if any(weights) else (1,) * 12
+
+
+def _spread(num: int, den: int, weights: tuple) -> tuple:
+    """The need num / den times 12 * w / sum(weights) for each weight w, as one int/int division."""
+    num, den = num * 12, den * sum(weights)
+    return tuple([num * w / den for w in weights])
+
+
 def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
     """Baseline need for the target year: prior-year deliveries / 12.
 
     Kept fractional; rounding to whole boxes happens once, at the
     volumetric packing step.
     """
-    prior = target_year - 1
-    if not series.covers(prior):
-        raise ValueError(
-            f"{series.product_id}: cannot derive the monthly need for {target_year}, "
-            f"year {prior} not covered by the series ({series.start_year}..{series.end_year})"
-        )
-    return Fraction(annual_total(series, prior), 12)
+    return Fraction(_prior_total(series, target_year), 12)
 
 
 def fit_seasonal_indices(series: MonthlySeries) -> SeasonalProfile:
     """Fit the twelve month indices from at least two full years.
 
-    index_m = mean(month m across years) / mean(all months). An all-zero
+    index_m = mean(month m across years) / mean(all months), which is
+    12 * month_sum / total, so the month sums are the weights. An all-zero
     series has no usable shape and falls back to a flat profile.
     """
-    if series.n_years < MIN_FIT_YEARS:
-        raise ValueError(
-            f"{series.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
-            f"seasonal indices, got {series.n_years}"
-        )
-    if not any(series.values):
-        return SeasonalProfile.flat(series.product_id)
-    # month_sum / n_years over total / (12 * n_years) reduces to
-    # 12 * month_sum / total, so the month sums are the weights.
-    values = series.values
-    return SeasonalProfile(series.product_id, tuple(sum(values[m::12]) for m in range(12)))
+    return SeasonalProfile(series.product_id, _month_weights(series, series.end_year + 1))
 
 
 def forecast(monthly_need, profile: SeasonalProfile, method: str) -> ForecastResult:
@@ -126,25 +140,20 @@ def forecast(monthly_need, profile: SeasonalProfile, method: str) -> ForecastRes
     num, den = monthly_need.as_integer_ratio()
     if num < 0:
         raise ValueError(f"monthly need must be >= 0, got {monthly_need}")
-    if method == METHOD_NAIVE:
-        values = (num / den,) * 12
-    else:
-        # need * 12 * w / total as one correctly rounded int/int division
-        num *= 12
-        den *= sum(profile.weights)
-        values = tuple(num * w / den for w in profile.weights)
+    values = (num / den,) * 12 if method == METHOD_NAIVE else _spread(num, den, profile.weights)
     return ForecastResult(profile.product_id, method, values)
 
 
 def forecast_year(series: MonthlySeries, year: int) -> tuple:
     """The naive and the seasonal forecast of `year`, with no lookahead.
 
-    The need comes from `year - 1` (`monthly_need`) and the profile is
-    fit on every year of the series before `year`.
+    Bit for bit `forecast` of `monthly_need(series, year)` and of the
+    profile fit on every year before `year`, from integer month sums.
+    The naive row repeats one float object.
     """
-    need = monthly_need(series, year)
-    profile = fit_seasonal_indices(series.window(series.start_year, year - series.start_year))
-    return forecast(need, profile, METHOD_NAIVE), forecast(need, profile, METHOD_SEASONAL)
+    total, weights = _prior_total(series, year), _month_weights(series, year)
+    return (ForecastResult(series.product_id, METHOD_NAIVE, (total / 12,) * 12),
+            ForecastResult(series.product_id, METHOD_SEASONAL, _spread(total, 12, weights)))
 
 
 def _mae(forecast_values, actual) -> float:

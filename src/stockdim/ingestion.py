@@ -266,7 +266,7 @@ def _read_keyed(path, expected_header, build):
         with open(path, "rb") as fh:
             texts = _data_texts(_reads(fh), path, expected_header, shape)
             rows = list(csv.reader(_lines(texts))) if texts else ()
-    except (OSError, UnicodeError) as exc:
+    except (OSError, UnicodeError, csv.Error) as exc:  # csv.Error: a field over `csv.field_size_limit()`
         shape.append(f"{path}: cannot read file ({exc})")
     parsed = {}
     for line_no, row in enumerate(rows, start=2):
@@ -416,7 +416,7 @@ def _fold_deliveries(path, offsets, start_year, n_years):
             return fold(texts, 2)
     except ChildProcessError:  # a child that died says nothing of the file
         raise
-    except (OSError, UnicodeError) as exc:
+    except (OSError, UnicodeError, csv.Error) as exc:
         return [], [], {}, [f"{path}: cannot read file ({exc})"], []
 
 

@@ -36,10 +36,11 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -129,9 +130,17 @@ class LoadedData:
     on_hand: dict
 
 
+_gap_report = partial(tuple.__new__, GapReport)  # a GapReport from a tuple of its fields, built in C
+
+
+def _gap_rows(pid: str, periods, demands, offers) -> list:
+    """One product's GapReport per period, from one comprehension of their fields."""
+    return [*map(_gap_report, [(pid, period, d, o, d - o, 1.0 if d <= 0 else min(o, d) / d)
+                               for period, d, o in zip(periods, demands, offers)])]
+
+
 def _gap_row(pid: str, period: str, demand, offered) -> GapReport:
-    rate = 1.0 if demand <= 0 else min(offered, demand) / demand
-    return GapReport(pid, period, demand, offered, demand - offered, rate)
+    return _gap_rows(pid, (period,), (demand,), (offered,))[0]
 
 
 def gap_kpi(demand_by_product, offered_by_product, period: str):
@@ -159,7 +168,7 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
     at least `MIN_FIT_YEARS` earlier years exist, the flat baseline otherwise.
     """
     year = config.last_history_year
-    months = [f"{year}-{month:02d}" for month in range(1, 13)]
+    periods = (str(year), *(f"{year}-{month:02d}" for month in range(1, 13)))
     for pid in sorted(product_ids):
         series = data.series[pid]
         if year - series.start_year >= MIN_FIT_YEARS:
@@ -167,9 +176,7 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
         else:
             offers = (float(monthly_need(series, year)),) * 12
         demands = series.year_slice(year)
-        yield _gap_row(pid, str(year), sum(demands), sum(offers))
-        for m, d, o in zip(months, demands, offers):
-            yield _gap_row(pid, m, d, o)
+        yield from _gap_rows(pid, periods, (sum(demands), *demands), (sum(offers), *offers))
 
 
 def _id_field(pid) -> str:
@@ -195,10 +202,18 @@ def classification_csv(results, fh):
     )
 
 
+def _floats_field(values) -> str:
+    """Floats joined by commas, as `csv.writer` writes them; a row of one float object is formatted once."""
+    # identity, not equality: 0.0 == -0.0, but the two are written differently
+    if values and all(map(operator.is_, values, itertools.repeat(values[0]))):
+        return ",".join((str(values[0]),) * len(values))
+    return ",".join(map(str, values))
+
+
 def forecast_csv(forecasts, fh):
     fh.write("product_id,method," + ",".join(f"m{i}" for i in range(1, 13)) + "\n")
     fh.writelines(
-        f"{_id_field(pid)},{method},{','.join(map(str, values))}\n" for pid, method, values in forecasts
+        f"{_id_field(pid)},{method},{_floats_field(values)}\n" for pid, method, values in forecasts
     )
 
 

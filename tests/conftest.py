@@ -1,3 +1,4 @@
+import csv
 import os
 from pathlib import Path
 
@@ -22,6 +23,15 @@ def write_csv(path: Path, header: str, rows) -> Path:
     lines = [header] + [",".join(str(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def with_an_over_long_field(path, target, index):
+    """A copy of `path` whose data row `index` (0 the first, -1 the last) has its id padded past `csv.field_size_limit()`."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    pid, _, fields = rows[index].partition(",")
+    rows[index] = f"{pid}{' ' * csv.field_size_limit()},{fields}"
+    target.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return target
 
 
 @pytest.fixture

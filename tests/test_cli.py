@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import assert_no_child_left, count_forks, write_csv
+from conftest import assert_no_child_left, count_forks, with_an_over_long_field, write_csv
 from stockdim import ingestion, reporting
 from stockdim.cli import main
 from test_parity import GOLDEN
@@ -134,6 +134,21 @@ def test_bad_input_file_exits_nonzero_with_error_line(tiny_inputs, tmp_path):
     assert result.exit_code == 1
     assert "Error:" in result.output
     assert "bad date" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["deliveries", "catalog", "stock"])
+def test_a_field_over_the_csv_limit_is_one_error_line(name, bundled_paths, tmp_path):
+    paths = dict(bundled_paths)
+    paths[name] = with_an_over_long_field(bundled_paths[name], tmp_path / f"{name}.csv", 0)
+    env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "stockdim.cli", "report", *base_args(paths, tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"Error: {paths[name]}: cannot read file (field larger than field limit ({csv.field_size_limit()}))\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

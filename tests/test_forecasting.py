@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from stockdim.forecasting import (
     METHOD_NAIVE,
     METHOD_SEASONAL,
+    MIN_FIT_YEARS,
     SeasonalProfile,
     backtest,
     fit_seasonal_indices,
     forecast,
+    forecast_year,
     monthly_need,
 )
 from stockdim.ingestion import MonthlySeries
@@ -156,6 +158,49 @@ def test_forecast_rejects_negative_need_and_unknown_method():
         forecast(-1, flat, METHOD_NAIVE)
     with pytest.raises(ValueError, match="unknown forecast method"):
         forecast(1, flat, "wild-guess")
+
+
+ZERO_YEAR = (0,) * 12
+YEARS = st.lists(  # 2 to 6 years, any of them all zero
+    st.just(ZERO_YEAR) | st.tuples(*[st.integers(0, 10**12)] * 12), min_size=2, max_size=6,
+).map(lambda years: sum(years, ()))
+
+
+@given(YEARS, st.integers(0, 4))
+@example(ZERO_YEAR * 3, 0)
+@example((1,) * 24 + ZERO_YEAR, 1)
+@example(ZERO_YEAR * 2 + (10**12,) * 12, 1)
+def test_forecast_year_is_need_profile_and_forecast_bit_for_bit(values, offset):
+    series = MonthlySeries("P", 2019, values)
+    year = min(series.start_year + MIN_FIT_YEARS + offset, series.end_year + 1)
+    need = monthly_need(series, year)
+    weights = [sum(values[m : 12 * (year - 2019) : 12]) for m in range(12)]
+    weights = weights if any(weights) else [1] * 12
+    reference = {  # the exact values, each rounded once
+        METHOD_NAIVE: [float(need)] * 12,
+        METHOD_SEASONAL: [float(need * Fraction(12 * w, sum(weights))) for w in weights],
+    }
+    profile = fit_seasonal_indices(series.window(series.start_year, year - series.start_year))
+    for result in forecast_year(series, year):
+        expected = forecast(need, profile, result.method)
+        assert result.product_id == expected.product_id == "P"
+        assert [v.hex() for v in result.monthly_values] == [v.hex() for v in expected.monthly_values]
+        assert [v.hex() for v in result.monthly_values] == [v.hex() for v in reference[result.method]]
+
+
+def test_forecast_year_names_too_little_history_and_an_uncovered_prior_year():
+    too_little = "P: need at least 2 full years to fit seasonal indices, got 1"
+    for call in (lambda: forecast_year(years(DEC_PEAK, 3), 2020), lambda: fit_seasonal_indices(years(DEC_PEAK, 1))):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == too_little
+    for year, prior in ((2022, 2021), (2019, 2018)):
+        uncovered = (f"P: cannot derive the monthly need for {year}, "
+                     f"year {prior} not covered by the series (2019..2020)")
+        for call in (forecast_year, monthly_need):
+            with pytest.raises(ValueError) as raised:
+                call(years(DEC_PEAK, 2), year)
+            assert str(raised.value) == uncovered
 
 
 def test_backtest_periodic_series_seasonal_is_exact():

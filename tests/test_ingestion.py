@@ -18,7 +18,7 @@ from stockdim.ingestion import (
     resolve_on_hand,
 )
 
-from conftest import assert_no_child_left, count_forks, write_csv
+from conftest import assert_no_child_left, count_forks, with_an_over_long_field, write_csv
 
 PRODUCTS = ("A", "B", "C", "P1")
 
@@ -503,6 +503,19 @@ def test_an_os_error_in_the_fold_child_keeps_its_type_and_message(split_fold, bu
     with pytest.raises(InputError) as exc:
         parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
     assert str(exc.value) == f"{path}: cannot read file ([Errno 5] Input/output error)"
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("index", [0, -1], ids=["child-half", "parent-half"])
+def test_a_split_fold_names_a_field_over_the_csv_limit_as_one_process_does(index, split_fold, bundled_paths,
+                                                                           tmp_path, monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    with_an_over_long_field(path, path, index)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    assert str(exc.value) == f"{path}: cannot read file (field larger than field limit ({csv.field_size_limit()}))"
     assert len(forks) == 1
     assert_no_child_left()
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import write_csv
@@ -19,7 +19,7 @@ from stockdim import (
     StockPlan,
     VolumetricPlan,
 )
-from stockdim.forecasting import backtest
+from stockdim.forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
 from stockdim.ingestion import InputError, MonthlySeries
 from stockdim.reporting import (
     BACKTEST_CSV,
@@ -28,6 +28,7 @@ from stockdim.reporting import (
     LoadedData,
     PLAN_CSV,
     RunConfig,
+    _gap_row,
     backtest_csv,
     build_gaps,
     classification_csv,
@@ -221,6 +222,40 @@ def test_mean_monthly_gap_is_the_seasonal_backtest_mae(values):
     assert sum(abs(g.gap) for g in months) / 12 == report.mae_seasonal
 
 
+def old_gap_row(pid, period, demand, offered):
+    rate = 1.0 if demand <= 0 else min(offered, demand) / demand
+    return GapReport(pid, period, demand, offered, demand - offered, rate)
+
+
+MONTHS_OF_DEMAND = st.lists(st.integers(0, 10**6) | st.just(0), min_size=12, max_size=12)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(MONTHS_OF_DEMAND | st.just([0] * 12), min_size=n, max_size=n).map(lambda ys: sum(ys, [])),
+    min_size=1, max_size=4,
+)))
+def test_gap_rows_are_the_old_gap_row_of_each_period(histories):
+    series = {f"P{i}": MonthlySeries(f"P{i}", 2019, tuple(values)) for i, values in enumerate(histories)}
+    n_years = len(histories[0]) // 12
+    year = 2019 + n_years - 1
+    config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
+                       start_year=2019, n_years=n_years, target_year=year + 1)
+    expected = []
+    for pid in sorted(series):  # the offer of the year, as build_gaps documents it
+        if n_years - 1 >= MIN_FIT_YEARS:
+            offers = forecast_year(series[pid], year)[1].monthly_values
+        else:
+            offers = (float(monthly_need(series[pid], year)),) * 12
+        demands = series[pid].year_slice(year)
+        expected.append(old_gap_row(pid, str(year), sum(demands), sum(offers)))
+        expected.extend(old_gap_row(pid, f"{year}-{m:02d}", d, o) for m, d, o in zip(range(1, 13), demands, offers))
+    data = LoadedData(catalog={}, series=series, on_hand={})
+    rows = list(build_gaps(data, reversed(list(series)), config))
+    assert rows == expected
+    assert {type(row) for row in rows} == {GapReport}
+    assert [_gap_row(*row[:4]) for row in expected] == expected
+
+
 def test_gap_offer_with_fewer_than_two_earlier_years_is_the_prior_year_over_12(tiny_inputs, tmp_path):
     write_csv(tiny_inputs["deliveries"], "product_id,date,quantity", [
         ("P1", "2020-01", 10), ("P1", "2020-03-15", 51), ("P1", "2021-03", 60), ("P2", "2021-07", 5),
@@ -402,6 +437,23 @@ def test_gap_render_matches_csv_writer_on_any_id_and_float(rows):
     fh = io.StringIO()
     gap_csv([GapReport(*row) for row in rows], fh)
     assert fh.getvalue() == _csv_writer_text(GapReport._fields, rows)
+
+
+@given(
+    st.text(),
+    st.sampled_from(("naive", "seasonal")),
+    st.floats() | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324)),
+    st.lists(st.sampled_from((0.0, -0.0)), min_size=12, max_size=12),
+    st.lists(st.floats(), min_size=12, max_size=12),
+)
+@example("DG,1", "naive", -0.0, [0.0] * 11 + [-0.0], [math.nan] * 12)
+@example('"', "naive", 5e-324, [-0.0] + [0.0] * 11, [0.0] * 12)
+def test_forecast_render_matches_csv_writer_on_any_id_and_float(pid, method, repeated, zeros, floats):
+    rows = [(pid, method, (repeated,) * 12), (pid, method, tuple(zeros)), (pid, method, tuple(floats))]
+    fh = io.StringIO()
+    forecast_csv([ForecastResult(*row) for row in rows], fh)
+    header = ("product_id", "method") + tuple(f"m{i}" for i in range(1, 13))
+    assert fh.getvalue() == _csv_writer_text(header, [(pid, method, *values) for pid, method, values in rows])
 
 
 class TwoArgumentError(ValueError):
