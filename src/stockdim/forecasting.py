@@ -52,10 +52,6 @@ class SeasonalProfile:
         total = sum(self.weights)
         return tuple(Fraction(12 * w, total) for w in self.weights)
 
-    @classmethod
-    def flat(cls, product_id: str) -> "SeasonalProfile":
-        return cls(product_id, (1,) * 12)
-
 
 class ForecastResult(NamedTuple):
     """Per-month forecast for one product, in boxes (fractional allowed)."""

@@ -84,12 +84,12 @@ def test_scale_equivariance_of_monthly_need():
 
 
 def test_naive_forecast_is_twelve_copies_of_need():
-    result = forecast(100, SeasonalProfile.flat("P"), METHOD_NAIVE)
+    result = forecast(100, SeasonalProfile("P", (1,) * 12), METHOD_NAIVE)
     assert result.monthly_values == (100.0,) * 12
 
 
 def test_identity_profile_makes_seasonal_equal_naive():
-    flat = SeasonalProfile.flat("P")
+    flat = SeasonalProfile("P", (1,) * 12)
     assert forecast(100, flat, METHOD_SEASONAL).monthly_values == (100.0,) * 12
 
 
@@ -153,7 +153,7 @@ def test_forecast_matches_the_fraction_reference_bit_for_bit(weights, need):
 
 
 def test_forecast_rejects_negative_need_and_unknown_method():
-    flat = SeasonalProfile.flat("P")
+    flat = SeasonalProfile("P", (1,) * 12)
     with pytest.raises(ValueError, match=">= 0"):
         forecast(-1, flat, METHOD_NAIVE)
     with pytest.raises(ValueError, match="unknown forecast method"):
@@ -181,7 +181,9 @@ def test_forecast_year_is_need_profile_and_forecast_bit_for_bit(values, offset):
         METHOD_SEASONAL: [float(need * Fraction(12 * w, sum(weights))) for w in weights],
     }
     profile = fit_seasonal_indices(series.window(series.start_year, year - series.start_year))
-    for result in forecast_year(series, year):
+    results = forecast_year(series, year)
+    assert [result.method for result in results] == [METHOD_NAIVE, METHOD_SEASONAL]
+    for result in results:
         expected = forecast(need, profile, result.method)
         assert result.product_id == expected.product_id == "P"
         assert [v.hex() for v in result.monthly_values] == [v.hex() for v in expected.monthly_values]
