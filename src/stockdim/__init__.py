@@ -27,10 +27,7 @@ from .forecasting import (
     METHOD_SEASONAL,
     BacktestReport,
     ForecastResult,
-    SeasonalProfile,
     backtest,
-    fit_seasonal_indices,
-    forecast,
     forecast_year,
     monthly_need,
 )
@@ -43,7 +40,7 @@ from .ingestion import (
     parse_inputs,
     resolve_on_hand,
 )
-from .reporting import GapReport, PipelineResult, RunConfig, gap_kpi, run_pipeline
+from .reporting import GapReport, PipelineResult, RunConfig, run_pipeline
 from .volumetric import (
     DEFAULT_PALLET,
     PalletSpec,

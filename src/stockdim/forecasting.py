@@ -1,21 +1,20 @@
-"""Monthly demand forecasting: baseline need, seasonal indices, backtests.
+"""Monthly demand forecasting: baseline need, seasonal forecast, backtests.
 
-The baseline monthly need is last year's total deliveries spread evenly
-over twelve months. The seasonal path rescales that baseline with
-per-month indices (month mean divided by grand monthly mean), which
-preserves the annual total while moving quantity into peak months.
+`forecast_year(series, year)` forecasts one year from the years before
+it, with no lookahead. The baseline monthly need is the total T of year
+`year - 1` over twelve, and the naive forecast repeats it. The seasonal
+forecast spreads the same annual quantity T by month weight: w_m sums
+month m over every year before `year` (all ones if those months are all
+zero), so month m gets the need times the index 12 * w_m / sum(w), and
+the indices average to exactly 1.
 
 Both are exact by construction, in integers rather than `Fraction`
-objects. A profile keeps its month sums as integer weights, so index m
-is exactly 12 * weight_m / total and the indices average to exactly 1.
-`forecast` reads the need (an int, float or Fraction) as its integer
-ratio num / den, and each value, num * 12 * weight / (den * total), is
-one correctly rounded int/int division: the float nearest the exact
-value, as `float(Fraction(...))` gives. On perfectly periodic demand the
+objects: each seasonal value, T * 12 * w_m / (12 * sum(w)), is one
+correctly rounded int/int division, the float nearest the exact value,
+as `float(Fraction(...))` gives. On perfectly periodic demand the
 seasonal forecast therefore reproduces the actuals with zero error.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,34 +22,8 @@ from .ingestion import MonthlySeries, annual_total
 
 METHOD_NAIVE = "naive"
 METHOD_SEASONAL = "seasonal"
-METHODS = (METHOD_NAIVE, METHOD_SEASONAL)
 
 MIN_FIT_YEARS = 2  # one year of history is pure noise for a monthly profile
-
-
-@dataclass(frozen=True)
-class SeasonalProfile:
-    """Twelve integer month weights; index m is 12 * weights[m] / sum."""
-
-    product_id: str
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != 12:
-            raise ValueError(f"expected 12 month weights, got {len(self.weights)}")
-        if min(self.weights) < 0:
-            raise ValueError("month weights must be >= 0")
-        total = sum(self.weights)
-        if not isinstance(total, int):  # any float or Fraction weight makes the sum non-int
-            raise ValueError("month weights must be integers")
-        if total <= 0:
-            raise ValueError("month weights must have a positive sum")
-
-    @property
-    def indices(self) -> tuple:
-        """The twelve multiplicative month indices, averaging exactly 1."""
-        total = sum(self.weights)
-        return tuple(Fraction(12 * w, total) for w in self.weights)
 
 
 class ForecastResult(NamedTuple):
@@ -100,9 +73,9 @@ def _month_weights(series: MonthlySeries, year: int) -> tuple:
     return weights if any(weights) else (1,) * 12
 
 
-def _spread(num: int, den: int, weights: tuple) -> tuple:
-    """The need num / den times 12 * w / sum(weights) for each weight w, as one int/int division."""
-    num, den = num * 12, den * sum(weights)
+def _spread(total: int, weights: tuple) -> tuple:
+    """The need total / 12 times 12 * w / sum(weights) for each weight w, as one int/int division."""
+    num, den = total * 12, 12 * sum(weights)
     return tuple([num * w / den for w in weights])
 
 
@@ -115,41 +88,16 @@ def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
     return Fraction(_prior_total(series, target_year), 12)
 
 
-def fit_seasonal_indices(series: MonthlySeries) -> SeasonalProfile:
-    """Fit the twelve month indices from at least two full years.
-
-    index_m = mean(month m across years) / mean(all months), which is
-    12 * month_sum / total, so the month sums are the weights. An all-zero
-    series has no usable shape and falls back to a flat profile.
-    """
-    return SeasonalProfile(series.product_id, _month_weights(series, series.end_year + 1))
-
-
-def forecast(monthly_need, profile: SeasonalProfile, method: str) -> ForecastResult:
-    """Spread the monthly need over twelve months, flat or by seasonal index.
-
-    Both methods distribute the same annual quantity (12 times the need);
-    the seasonal method only reshapes where inside the year it lands.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown forecast method {method!r}, expected one of {METHODS}")
-    num, den = monthly_need.as_integer_ratio()
-    if num < 0:
-        raise ValueError(f"monthly need must be >= 0, got {monthly_need}")
-    values = (num / den,) * 12 if method == METHOD_NAIVE else _spread(num, den, profile.weights)
-    return ForecastResult(profile.product_id, method, values)
-
-
 def forecast_year(series: MonthlySeries, year: int) -> tuple:
     """The naive and the seasonal forecast of `year`, with no lookahead.
 
-    Bit for bit `forecast` of `monthly_need(series, year)` and of the
-    profile fit on every year before `year`, from integer month sums.
-    The naive row repeats one float object.
+    The naive row repeats one float object, T / 12 for the total T of
+    `year - 1`. Month m of the seasonal row is T * w_m / sum(w), with w
+    the month sums over the `MIN_FIT_YEARS` or more years before `year`.
     """
     total, weights = _prior_total(series, year), _month_weights(series, year)
     return (ForecastResult(series.product_id, METHOD_NAIVE, (total / 12,) * 12),
-            ForecastResult(series.product_id, METHOD_SEASONAL, _spread(total, 12, weights)))
+            ForecastResult(series.product_id, METHOD_SEASONAL, _spread(total, weights)))
 
 
 def _mae(forecast_values, actual) -> float:

@@ -97,18 +97,6 @@ class MonthlySeries:
         lo = (year - self.start_year) * 12
         return self.values[lo : lo + 12]
 
-    def window(self, start_year: int, n_years: int) -> "MonthlySeries":
-        """A sub-series restricted to `n_years` whole years."""
-        if n_years < 1:
-            raise ValueError("window must cover at least one year")
-        if start_year < self.start_year or start_year + n_years - 1 > self.end_year:
-            raise ValueError(
-                f"{self.product_id}: window {start_year}..{start_year + n_years - 1} "
-                f"outside series {self.start_year}..{self.end_year}"
-            )
-        lo = (start_year - self.start_year) * 12
-        return self._trusted(self.product_id, start_year, self.values[lo : lo + 12 * n_years])
-
     @classmethod
     def _trusted(cls, product_id, start_year, values):
         """A series of whole years of values known to be >= 0, built without `__post_init__`'s scan.

@@ -139,20 +139,6 @@ def _gap_rows(pid: str, periods, demands, offers) -> list:
                                for period, d, o in zip(periods, demands, offers)])]
 
 
-def _gap_row(pid: str, period: str, demand, offered) -> GapReport:
-    return _gap_rows(pid, (period,), (demand,), (offered,))[0]
-
-
-def gap_kpi(demand_by_product, offered_by_product, period: str):
-    """Per-product demand/offer gap and service rate for one period."""
-    if set(demand_by_product) != set(offered_by_product):
-        raise ValueError("demand and offer cover different product sets")
-    return [
-        _gap_row(pid, period, demand_by_product[pid], offered_by_product[pid])
-        for pid in sorted(demand_by_product)
-    ]
-
-
 def load_inputs(config: RunConfig) -> LoadedData:
     series, entries, snapshots = parse_inputs(
         config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)

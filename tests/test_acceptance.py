@@ -15,7 +15,7 @@ from pathlib import Path
 
 from stockdim.classification import ScoredProduct, rank_and_cut
 from stockdim.dimensioning import order_quantity, strategic_stock
-from stockdim.forecasting import backtest, fit_seasonal_indices, monthly_need
+from stockdim.forecasting import backtest, forecast_year, monthly_need
 from stockdim.ingestion import MonthlySeries
 from stockdim.reporting import RunConfig, run_pipeline
 from stockdim.volumetric import PalletSpec, cartons_needed, cartons_per_pallet, pallets_needed
@@ -116,15 +116,19 @@ def test_acceptance_3_seasonal_profile_normalization():
     rnd = random.Random(3003)
     for _ in range(500):
         series = random_series(rnd, rnd.randint(2, 4))
-        profile = fit_seasonal_indices(series)
-        mean = sum(float(idx) for idx in profile.indices) / 12
-        assert abs(mean - 1.0) <= 1e-9
         k = rnd.randint(2, 9)
         scaled = MonthlySeries("P", 2019, tuple(v * k for v in series.values))
-        scaled_profile = fit_seasonal_indices(scaled)
-        for a, b in zip(profile.indices, scaled_profile.indices):
-            assert abs(float(a) - float(b)) <= 1e-9
-    print("ACCEPTANCE 3 PASS: index mean = 1 and scale invariance on 500 random series")
+        year = series.end_year + 1
+        weights = [sum(series.values[m::12]) for m in range(12)]
+        indices = [Fraction(12 * w, sum(weights)) for w in weights]  # month mean / grand monthly mean
+        assert sum(indices) == 12
+        for s in (series, scaled):
+            need = float(monthly_need(s, year))
+            seasonal = forecast_year(s, year)[1].monthly_values
+            assert abs(sum(seasonal) - 12 * need) <= 1e-9 * 12 * need
+            for value, index in zip(seasonal, indices):
+                assert abs(value / need - float(index)) <= 1e-9
+    print("ACCEPTANCE 3 PASS: seasonal row sums to 12 x need and its indices ignore scaling on 500 random series")
 
 
 def test_acceptance_4_seasonal_beats_naive():

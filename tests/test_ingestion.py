@@ -209,12 +209,10 @@ def test_aggregation_is_order_independent(tmp_path_factory, lines, rnd):
 def test_series_window_and_slices():
     values = tuple(range(24))
     s = MonthlySeries("P", 2020, values)
+    assert s.year_slice(2020) == values[:12]
     assert s.year_slice(2021) == values[12:]
-    assert s.window(2021, 1).values == values[12:]
-    assert s.window(2020, 2) == s
-    assert s.window(2021, 1) == MonthlySeries("P", 2021, values[12:])
     with pytest.raises(ValueError, match="outside series"):
-        s.window(2019, 2)
+        s.year_slice(2019)
 
 
 def test_series_rejects_negative_values():

@@ -28,13 +28,12 @@ from stockdim.reporting import (
     LoadedData,
     PLAN_CSV,
     RunConfig,
-    _gap_row,
+    _gap_rows,
     backtest_csv,
     build_gaps,
     classification_csv,
     forecast_csv,
     gap_csv,
-    gap_kpi,
     plan_csv,
     run_pipeline,
     volume_csv,
@@ -65,15 +64,15 @@ def read_rows(path):
 
 
 def test_gap_kpi_conventions():
-    demand = {"A": 100, "B": 100, "C": 0}
-    offered = {"A": 100, "B": 60, "C": 50}
-    out = {g.product_id: g for g in gap_kpi(demand, offered, "2021")}
-    assert out["A"].gap == 0 and out["A"].service_rate == 1.0
-    assert out["B"].gap == 40 and out["B"].service_rate == 0.6
-    assert out["C"].gap == -50 and out["C"].service_rate == 1.0
+    periods = ("2021", "2021-01", "2021-02", "2021-03")
+    met, short, over, idle = _gap_rows("P", periods, (100, 100, 40, 0), (100, 60, 100, 50))
+    assert met.gap == 0 and met.service_rate == 1.0
+    assert short.gap == 40 and short.service_rate == 0.6
+    assert over.gap == -60 and over.service_rate == 1.0  # the offer counts up to demand only
+    assert idle.gap == -50 and idle.service_rate == 1.0  # no demand: fully served, offer in excess
     with pytest.raises(AttributeError):
-        out["A"].gap = 1
-    assert out["B"] == ("B", "2021", 100, 60, 40, 0.6)
+        met.gap = 1
+    assert short == ("P", "2021-01", 100, 60, 40, 0.6) and type(short) is GapReport
     assert GapReport._fields == ("product_id", "period", "demand", "offered", "gap", "service_rate")
 
 
@@ -122,11 +121,6 @@ def test_output_records_are_named_tuples(record, fields, plain):
         record.product_id = "Q"
     assert record == plain
     assert record[0] == "P" and tuple(record) == plain
-
-
-def test_gap_kpi_rejects_mismatched_product_sets():
-    with pytest.raises(ValueError, match="different product sets"):
-        gap_kpi({"A": 1}, {"B": 1}, "2021")
 
 
 def test_run_config_validation(bundled_paths, tmp_path):
@@ -253,7 +247,6 @@ def test_gap_rows_are_the_old_gap_row_of_each_period(histories):
     rows = list(build_gaps(data, reversed(list(series)), config))
     assert rows == expected
     assert {type(row) for row in rows} == {GapReport}
-    assert [_gap_row(*row[:4]) for row in expected] == expected
 
 
 def test_gap_offer_with_fewer_than_two_earlier_years_is_the_prior_year_over_12(tiny_inputs, tmp_path):
