@@ -6,20 +6,18 @@ on-hand stock snapshot. Parsing is strict: every bad row is reported with
 its file and line number, and nothing is dropped silently.
 
 The delivery file is read in pieces of about `_CHUNK` bytes cut at line
-ends. A piece whose lines, blank ones left out, each hold three plain
-cells (no line end in one, and a `"` only at both ends of a quoted one),
-with no lone CR, ids cataloged once unquoted and stripped, dates in the
-window and quantities >= 0, is checked whole, then added at once
-(`_fold_texts`); from the first other piece on, a csv reader folds row by
-row (`_fold_rows`), naming each fault.
+ends; a lone CR ends a line, as csv reads it. If every piece is plain (its
+lines, blank ones left out, hold three cells each, with no line end in a
+cell and a `"` only at both ends of a quoted one; ids cataloged once
+unquoted and stripped, dates in the window, quantities >= 0), each is
+checked whole and added at once (`_fold_texts`). Otherwise a csv reader
+folds the whole file by rows (`_fold_rows`), naming each fault.
 
-A delivery file of `SPLIT_FLOOR` bytes or more is folded in two processes
-where `os.fork` exists and two CPUs are usable: a forked child folds the
-lines before the split, the first line end past the middle byte, at once,
-while this process folds the rest. A first half that folds at once has no
-open quote and no lone CR, so each of its line ends ends a row; where it
-does not, this process drops its half and folds the whole file alone. The
-series and every error message are those of one process.
+Where the file has `SPLIT_FLOOR` bytes or more, `os.fork` exists and two
+CPUs are usable, a forked child folds the lines before `_split_point`
+while this process folds the rest; if either half is not plain, this
+process folds the whole file by rows. The series and every error message
+are those of one process.
 """
 
 import csv
@@ -29,6 +27,7 @@ import logging
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -146,7 +145,7 @@ class StockSnapshot:
 
 def _parse_year_month(text: str):
     parts = text.strip().split("-")
-    if len(parts) not in (2, 3):
+    if len(parts) not in (2, 3) or not text.isascii() or "_" in text:  # int() reads other digits and `_` too
         raise ValueError(f"bad date {text!r}, expected YYYY-MM or YYYY-MM-DD")
     try:
         numbers = [int(p) for p in parts]
@@ -162,6 +161,8 @@ def _parse_year_month(text: str):
 
 def _parse_int(text: str, minimum: int, what: str) -> int:
     try:
+        if not text.isascii() or "_" in text:  # int() reads other digits and `_` too
+            raise ValueError
         value = int(text.strip())
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
@@ -172,6 +173,8 @@ def _parse_int(text: str, minimum: int, what: str) -> int:
 
 def _parse_positive_number(text: str, what: str) -> float:
     try:
+        if not text.isascii() or "_" in text:  # float() reads other digits and `_` too
+            raise ValueError
         value = float(text.strip())
     except ValueError:
         raise ValueError(f"{what} must be a number, got {text!r}") from None
@@ -194,11 +197,6 @@ _CHUNK = 1 << 16  # bytes read at a time
 # of the one-process time at 128 KiB, 1.02 at 256 KiB, 0.92 at 384 KiB and
 # 0.83 at 512 KiB: fork, scan and join cost a few ms.
 SPLIT_FLOOR = 384 << 10
-
-
-def _reads(fh):
-    """The rest of binary file `fh`, in pieces."""
-    return iter(partial(fh.read, _CHUNK), b"")
 
 
 def _preads(fd, start, stop):
@@ -252,7 +250,7 @@ def _read_keyed(path, expected_header, build):
     shape, bad, rows = [], [], ()
     try:
         with open(path, "rb") as fh:
-            texts = _data_texts(_reads(fh), path, expected_header, shape)
+            texts = _data_texts(_preads(fh.fileno(), 0, os.fstat(fh.fileno()).st_size), path, expected_header, shape)
             rows = list(csv.reader(_lines(texts))) if texts else ()
     except (OSError, UnicodeError, csv.Error) as exc:  # csv.Error: a field over `csv.field_size_limit()`
         shape.append(f"{path}: cannot read file ({exc})")
@@ -301,10 +299,10 @@ def _stock_snapshot(pid, on_hand_text):
     return StockSnapshot(pid, _parse_int(on_hand_text, 0, "on_hand"))
 
 
-def _fold_rows(rows, first_line, path, offsets, start_year, n_years, slots=None):
-    """Fold csv rows, the first at line `first_line`, into month slots (or into `slots`), one at a time."""
-    slots, uncataloged, outside, shape, bad = slots or [0] * (12 * n_years * len(offsets)), [], {}, [], []
-    for line_no, row in enumerate(rows, start=first_line):
+def _fold_rows(rows, path, offsets, start_year, n_years):
+    """Fold the csv rows of a whole delivery file, the first at line 2, into month slots, one at a time."""
+    slots, uncataloged, outside, shape, bad = [0] * (12 * n_years * len(offsets)), [], {}, [], []
+    for line_no, row in enumerate(rows, start=2):
         if len(row) != 3:
             if row:  # tolerate blank lines
                 shape.append(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
@@ -337,42 +335,39 @@ def _plain(cell):
     return field
 
 
-def _fold_texts(texts, line_no, path, offsets, start_year, n_years, at_once=False):
-    """Fold pieces of delivery text, the first at line `line_no`, as `_fold_rows` does; `at_once`, to slots or None."""
+def _fold_texts(texts, offsets, start_year, n_years):
+    """The month slots `_fold_rows` adds from pieces of plain delivery text, each checked whole; else None."""
     slots, ids, months, quantities = [0] * (12 * n_years * len(offsets)), {}, {}, {}  # cell -> offset, slot, value
     window = {(start_year + slot // 12, slot % 12 + 1): slot for slot in range(12 * n_years)}
     for text in texts:
-        body = text.replace("\r\n", "\n").strip("\n")
+        body = text.replace("\r\n", "\n").replace("\r", "\n").strip("\n")  # a lone CR ends a line, as csv reads it
+        if not body:  # blank lines only
+            continue
         while "\n\n" in body:  # csv reads a blank line as no row
             body = body.replace("\n\n", "\n")
         cells = body.replace("\n", "\n,").split(",")  # only quantity cells end in "\n" if every line has 3
         pids, dates, counts = cells[0::3], cells[1::3], cells[2::3]
         try:
-            if "\r" in body or len(cells) != 3 * body.count("\n") + 3 or len(text) > csv.field_size_limit():
+            if len(cells) != 3 * body.count("\n") + 3 or len(text) > csv.field_size_limit():
                 raise ValueError("not plain lines of three fields")
             ids.update((cell, offsets[_plain(cell).strip()]) for cell in set(pids) - ids.keys())
             months.update((cell, window[_parse_year_month(_plain(cell))]) for cell in set(dates) - months.keys())
             quantities.update((cell, _parse_int(_plain(cell.removesuffix("\n")), 0, "quantity"))
                               for cell in set(counts) - quantities.keys())
         except (ValueError, KeyError):
-            if at_once:
-                for _ in texts:  # decode the rest, so that a byte that is not UTF-8 there is named first
-                    pass
-                return None
-            return _fold_rows(csv.reader(_lines(itertools.chain((text,), texts))), line_no, path, offsets,
-                              start_year, n_years, slots)
+            for _ in texts:  # decode the rest, so that a byte that is not UTF-8 there is named first
+                pass
+            return None
         for at, quantity in zip(map(operator.add, map(ids.get, pids), map(months.get, dates)),
                                 map(quantities.get, counts)):
             slots[at] += quantity
-        line_no += text.count("\n")
-    return slots if at_once else (slots, [], {}, [], [])
+    return slots
 
 
-def _split_point(fh, size):
-    """Where to fold binary file `fh` in two: just past the first LF after the middle byte, and the LFs before it."""
-    fh.seek(size // 2)
-    split = size // 2 + len(fh.readline())
-    return split, sum(piece.count(b"\n") for piece in _preads(fh.fileno(), 0, split))
+def _split_point(fd, size):
+    """Just past the first line end (LF, CRLF or lone CR) in `_CHUNK` bytes from the middle of file `fd`, or None."""
+    end = re.search(rb"\n|\r(?=[^\n])", os.pread(fd, _CHUNK, size // 2))  # a CR that an LF follows ends no line
+    return end and size // 2 + end.end()
 
 
 def _fold_deliveries(path, offsets, start_year, n_years):
@@ -383,25 +378,27 @@ def _fold_deliveries(path, offsets, start_year, n_years):
     the (line_number, product_id) of valid lines naming a product outside
     `offsets`, each cataloged product's first slot outside the window, and
     the field-count and field-value problems. Where the module docstring
-    says, a child folds the half before `_split_point` at once while this
-    process folds the rest (`forking._in_two`), or this one folds it all.
+    says, a child folds the half before `_split_point` while this process
+    folds the rest (`forking._in_two`), or `_fold_rows` the whole file.
     """
     shape = []
-    fold = partial(_fold_texts, path=path, offsets=offsets, start_year=start_year, n_years=n_years)
+    fold = partial(_fold_texts, offsets=offsets, start_year=start_year, n_years=n_years)
     try:
         with open(path, "rb") as fh:
             fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
-            split, lfs = (size >= SPLIT_FLOOR and _can_fork() and _split_point(fh, size)) or (None, 0)
+            split = size >= SPLIT_FLOOR and _can_fork() and _split_point(fd, size)
             texts = _data_texts(_preads(fd, 0, split or size), path, DELIVERIES_HEADER, shape)  # before any fork
             if texts is None:
                 return [], [], {}, shape, []
             if split:
-                first, second = _in_two(lambda: fold(texts, 2, at_once=True),
-                                        lambda: fold(_texts(_preads(fd, split, size), split), lfs + 1))
-                if first is not None:  # every list but the slots is empty in a half folded at once
-                    return (list(map(operator.add, first, second[0])),) + second[1:]
-                texts = _data_texts(_preads(fd, 0, size), path, DELIVERIES_HEADER, shape)  # the whole file, here
-            return fold(texts, 2)
+                first, second = _in_two(lambda: fold(texts), lambda: fold(_texts(_preads(fd, split, size), split)))
+                slots = None if first is None or second is None else list(map(operator.add, first, second))
+            else:
+                slots = fold(texts)
+            if slots is not None:
+                return slots, [], {}, [], []
+            rows = csv.reader(_lines(_data_texts(_preads(fd, 0, size), path, DELIVERIES_HEADER, shape)))
+            return _fold_rows(rows, path, offsets, start_year, n_years)
     except ChildProcessError:  # a child that died says nothing of the file
         raise
     except (OSError, UnicodeError, csv.Error) as exc:

@@ -2,6 +2,7 @@ import csv
 import gc
 import math
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -273,6 +274,43 @@ def test_every_bad_line_is_reported_in_one_message(tmp_path):
     ])
 
 
+@pytest.mark.parametrize("row, message", [
+    ("P1,2019-0_1,1_000", "bad date '2019-0_1', expected YYYY-MM or YYYY-MM-DD"),
+    ("P1,\uff12\uff10\uff12\uff10-01,5", "bad date '\uff12\uff10\uff12\uff10-01', expected YYYY-MM or YYYY-MM-DD"),
+    ("P1,2020-01,1_000", "quantity must be an integer, got '1_000'"),
+    ("P1,2020-01,\u0663", "quantity must be an integer, got '\u0663'"),
+], ids=["underscore-date", "fullwidth-year", "underscore-quantity", "arabic-indic-quantity"])
+@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
+def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_cpus, tiny_inputs, tmp_path,
+                                                     monkeypatch):
+    text = f"P1,2020-01,10\n{row}\n"
+    assert ingestion._fold_texts([text], {"P1": 0, "P2": 24}, 2020, 2) is None  # the bulk check refuses the cell
+    monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0 if forked else math.inf)
+    path = write_deliveries(tmp_path / "deliveries.csv", text)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("name, row, message", [
+    ("catalog", "P1,Alpha,2_5,0,10,400,300,200", "unit_price must be a number, got '2_5'"),
+    ("catalog", "P1,Alpha,2.5,\u0660,10,400,300,200", "urgency must be an integer, got '\u0660'"),
+    ("catalog", "P1,Alpha,2.5,0,1_0,400,300,200", "boxes_per_carton must be an integer, got '1_0'"),
+    ("catalog", "P1,Alpha,2.5,0,10,\uff14\uff10\uff10,300,200",
+     "carton_l_mm must be a number, got '\uff14\uff10\uff10'"),
+    ("stock", "P1,2_0", "on_hand must be an integer, got '2_0'"),
+], ids=["underscore-price", "arabic-indic-urgency", "underscore-boxes", "fullwidth-length", "underscore-on-hand"])
+def test_catalog_and_stock_numbers_are_ascii_digits(name, row, message, tiny_inputs, tmp_path):
+    paths = dict(tiny_inputs)
+    header, _, rest = paths[name].read_text(encoding="utf-8").partition("\n")
+    others = rest.partition("\n")[2]  # the rows after P1's
+    paths[name] = tmp_path / f"{name}-digits.csv"
+    paths[name].write_text(f"{header}\n{row}\n{others}", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
+    assert str(exc.value) == f"{paths[name]}:2: {message}"
+
+
 def test_uncataloged_products_are_reported_once_files_parse_cleanly(tiny_inputs, tmp_path):
     deliveries = write_csv(
         tmp_path / "ghost_deliveries.csv",
@@ -299,7 +337,22 @@ def fold_in_one_process(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows)
-        return ingestion._fold_rows(rows, 2, path, OFFSETS, 2020, 2)
+        return ingestion._fold_rows(rows, path, OFFSETS, 2020, 2)
+
+
+def count_row_folds(path, monkeypatch):
+    """One entry per `_fold_rows` call in this process: whether it got every row of `path` past the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    real_fold_rows, folds = ingestion._fold_rows, []
+
+    def fold_rows(read, *args):
+        read = list(read)
+        folds.append(read == rows)
+        return real_fold_rows(read, *args)
+
+    monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
+    return folds
 
 
 def reference_outcome(path):
@@ -353,7 +406,7 @@ VALID_ROWS = st.builds("{},{},{}".format, st.sampled_from(["A", "B ", " C ", "P1
 ANY_ROWS = st.lists(st.sampled_from(["A", "", "GHOST", "2020-01", "2019-12", "2020-13", "2020-x", "5", "-1",
                                      "x"]), max_size=4).map(",".join)  # blank lines and 1, 2, 3 and 4 fields
 PLAIN_LINES = st.tuples(st.one_of(*[VALID_ROWS] * 6, ANY_ROWS),  # so that some files have no bad line
-                        st.sampled_from(["\n", "\r\n"])).map("".join)
+                        st.sampled_from(["\n", "\r\n", "\r"])).map("".join)
 QUOTED_OR_CR_LINES = st.one_of(
     PLAIN_LINES,
     st.sampled_from(['"A",2020-01,3\n', '"A\nB",2020-01,3\n', '"B\r\n",2020-01,1\r\n', "A,2020-04,2\r",
@@ -381,25 +434,43 @@ def test_a_split_fold_gives_what_one_process_gives(split_fold, tmp_path_factory,
     ("A,2020-01,1\r\nGHOST,2020-02,2\r\n" * 20, 'B,2020-03,3\n"GHOST",2020-04,4\r\n' * 20, True),
     ('"A",2020-01,1\n' + "B,2020-02,2\n" * 40, "A,2020-03,3\n" * 40, False),  # one whole quoted field
     ('"A\nB",2020-01,1\n' + "B,2020-02,2\n" * 40, "A,2020-03,3\n" * 40, True),  # a quoted line end
-    ("A,2020-01,1\rB,2020-02,2\n" * 20, "A,2020-03,3\n" * 40, True),
+    ("A,2020-01,1\rB,2020-02,2\n" * 20, "A,2020-03,3\n" * 40, False),  # a lone CR ends a row
     ("A,2020-01," + "0" * 300 + "1\n", "B,2021-02,2", False),  # the second half is a last line with no end
     ("A,2020-01,1\n" * 2, "B,2021-02," + "0" * 300 + "2\n", False),  # the split lands on the end of the file
     ("A,2019-12,1\n" + "A,2020-01,1\n" * 40, "A,2022-01,1\n" * 40, True),  # outside the window in both
+    ("A,2020-01,1\r" * 40, "B,2020-02,2\r" * 40, False),
+    ("A,2020-01,1\r\n" * 40, '"B\r\n",2020-02,2\r\n' * 40, True),  # a quoted CRLF
+    ("A,2020-01,1\n" * 40, "\n" * 600, False),  # a half of blank lines has no row
+    ("", "A,2020-01,1\n", False),  # the split lands just past the header
 ], ids=["quote-in-second-half", "quote-in-first-half", "quoted-line-end-in-first-half", "lone-cr-in-first-half",
-        "last-line", "end-of-file", "outside-in-both-halves"])
+        "last-line", "end-of-file", "outside-in-both-halves", "cr-only", "quoted-crlf-in-second-half",
+        "blank-second-half", "header-only-first-half"])
 def test_the_fold_splits_only_where_every_line_end_ends_a_row(first_half, second_half, refolded, split_fold,
                                                              tmp_path, monkeypatch):
-    forks, real_fold_texts, folds = count_forks(monkeypatch), ingestion._fold_texts, []
-
-    def fold_texts(texts, line_no, **kwargs):  # the appends of the child stay in the child
-        folds.append(line_no)
-        return real_fold_texts(texts, line_no, **kwargs)
-
-    monkeypatch.setattr(ingestion, "_fold_texts", fold_texts)
     path = write_deliveries(tmp_path / "deliveries.csv", first_half + second_half)
-    assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == fold_in_one_process(path)
+    expected, forks, folds = fold_in_one_process(path), count_forks(monkeypatch), count_row_folds(path, monkeypatch)
+    assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == expected
     assert len(forks) == 1
-    assert folds[1:] == ([2] if refolded else [])  # after the second half, the whole file from line 2
+    assert folds == ([True] if refolded else [])  # once, from line 2, where a half is not plain
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_the_split_point_is_just_past_the_first_whole_line_end_from_the_middle(newline, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingestion, "_CHUNK", 8)  # so that the read from the middle ends in lines and CRLFs
+    text = newline.join(["A,2020-01,1", "", "B,2020-02,22", "C,      2020-03,3", "D,2020-04,4", ""])
+    path, line_end = tmp_path / "deliveries.csv", re.compile(rb"\n|\r[^\n]")  # a CR ends a line if no LF follows
+    for size in range(1, len(text) + 1):
+        data = text[:size].encode()
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            split = ingestion._split_point(fh.fileno(), size)
+        middle = size // 2
+        if split is None:  # no line end that one read from the middle shows whole
+            assert not line_end.search(data, middle, middle + 8)
+        else:
+            assert middle < split <= middle + 8 and data[split - 1] in b"\r\n"
+            assert data[split - 1:split + 1] != b"\r\n"  # never between the CR and the LF of a CRLF
+            assert not line_end.search(data, middle, split - 1)
 
 
 def test_a_crlf_across_two_reads_ends_one_line(tmp_path):
@@ -528,40 +599,33 @@ def text_over_reads(newline, middles):
     return "".join(half + (middle + newline if middle else "") + half for middle in middles)
 
 
-@pytest.mark.parametrize("newline, middles, end, fallback_piece", [
-    ("\n", ("", "", "", ""), "", None),
-    ("\r\n", ("", "", "", ""), "", None),
-    ("\n", ("", "", "", ""), "\n", None),  # a trailing blank line
-    ("\r\n", ("", "", "", ""), None, None),  # the last line has no line end
-    ("\r\n", ("", "\r\n", "", ""), "", None),  # two blank lines mid-file
-    ("\n", ("", "B,2020-13,1", "", ""), "", 1),
-    ("\r\n", ("C,2019-12,5", "", "", ""), "", 0),
-    ("\r\n", ("", "", '"A",2020-01,3', ""), "", None),
-    ("\r\n", ("", "", '"A""B",2020-01,3', ""), "", 2),
-    ("\n", ("", "B,2021-03\n4,B,2021-03,4", "", ""), "", 1),  # 3 fields a line on average, not on each
-    ("\n", ("", "", "C\r,2021-01,2", ""), "", 2),  # a lone CR ends a row
-    ("\n", ("", "", "", ""), "B,2020-02,2\n" * 3 + "A,2020-01\n", 3),  # the last line has 2 fields
-], ids=["lf", "crlf", "trailing-blank-line", "no-last-line-end", "blank-lines", "bad-row-in-second-piece",
+@pytest.mark.parametrize("newline, middles, end, refolded", [
+    ("\n", ("", "", "", ""), "", False),
+    ("\r\n", ("", "", "", ""), "", False),
+    ("\r", ("", "", "", ""), "", False),
+    ("\n", ("", "", "", ""), "\n", False),  # a trailing blank line
+    ("\r\n", ("", "", "", ""), None, False),  # the last line has no line end
+    ("\r\n", ("", "\r\n", "", ""), "", False),  # two blank lines mid-file
+    ("\n", ("", "B,2020-13,1", "", ""), "", True),
+    ("\r\n", ("C,2019-12,5", "", "", ""), "", True),
+    ("\r\n", ("", "", '"A",2020-01,3', ""), "", False),
+    ("\r\n", ("", "", '"A""B",2020-01,3', ""), "", True),
+    ("\n", ("", "B,2021-03\n4,B,2021-03,4", "", ""), "", True),  # 3 fields a line on average, not on each
+    ("\n", ("", "", "C\r,2021-01,2", ""), "", True),  # a lone CR ends a row
+    ("\n", ("", "", "", ""), "B,2020-02,2\n" * 3 + "A,2020-01\n", True),  # the last line has 2 fields
+], ids=["lf", "crlf", "cr", "trailing-blank-line", "no-last-line-end", "blank-lines", "bad-row-in-second-piece",
         "outside-in-first-piece", "quote-in-third-piece", "doubled-quote-in-third-piece", "2-and-4-fields",
         "lone-cr-in-third-piece", "short-last-line"])
 @pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
-def test_a_fold_of_many_pieces_gives_what_the_row_fold_gives(newline, middles, end, fallback_piece, forked,
+def test_a_fold_of_many_pieces_gives_what_the_row_fold_gives(newline, middles, end, refolded, forked,
                                                             two_cpus, tmp_path, monkeypatch):
     text = text_over_reads(newline, middles)
     path = write_deliveries(tmp_path / "deliveries.csv", text.rstrip("\r\n") if end is None else text + end)
     monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0 if forked else math.inf)
-    expected, real_fold_rows, fallbacks = fold_in_one_process(path), ingestion._fold_rows, []
-
-    def fold_rows(rows, first_line, *args):
-        fallbacks.append(first_line)
-        return real_fold_rows(rows, first_line, *args)
-
-    monkeypatch.setattr(ingestion, "_fold_rows", fold_rows)
+    expected, forks, folds = fold_in_one_process(path), count_forks(monkeypatch), count_row_folds(path, monkeypatch)
     assert ingestion._fold_deliveries(path, OFFSETS, 2020, 2) == expected
-    if not forked:  # the row fold starts at the first line of the failing piece, which begins near a read's end
-        lines = path.read_bytes().splitlines(keepends=True)
-        assert [round(len(b"".join(lines[:line - 1])) / ingestion._CHUNK) for line in fallbacks] == (
-            [] if fallback_piece is None else [fallback_piece])
+    assert len(forks) == forked
+    assert folds == ([True] if refolded else [])  # once, from line 2, where some piece is not plain
     assert_no_child_left()
 
 
@@ -582,7 +646,7 @@ def assert_folded_without_the_row_fold(path, forked, bundled_paths, monkeypatch)
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
 def test_a_clean_file_is_folded_without_the_row_fold(newline, forked, two_cpus, bundled_paths, tmp_path,
                                                       monkeypatch):
