@@ -35,10 +35,8 @@ from .ingestion import (
     CatalogEntry,
     InputError,
     MonthlySeries,
-    StockSnapshot,
     annual_total,
     parse_inputs,
-    resolve_on_hand,
 )
 from .reporting import GapReport, PipelineResult, RunConfig, run_pipeline
 from .volumetric import (

@@ -68,20 +68,19 @@ def _min_max(values):
 def score_products(series_by_product, catalog, weights: CriteriaWeights = DEFAULT_WEIGHTS):
     """Score every product with a series against the weighted criteria.
 
-    Revenue is total delivered boxes times unit price over the whole
-    history window; the quantity-price ratio is total boxes divided by
-    unit price. Returns one ScoredProduct per input product, in
-    product_id order.
+    `catalog` maps product_id to CatalogEntry. Revenue is total delivered
+    boxes times unit price over the whole history window; the quantity-
+    price ratio is total boxes divided by unit price. Returns one
+    ScoredProduct per input product, in product_id order.
     """
     if not series_by_product:
         raise ValueError("cannot score an empty product set")
-    entries = catalog if isinstance(catalog, dict) else {e.product_id: e for e in catalog}
     pids = sorted(series_by_product)
     revenues, ratios, urgencies = [], [], []
     for pid in pids:
-        if pid not in entries:
+        if pid not in catalog:
             raise ValueError(f"no catalog entry for product {pid!r}")
-        entry = entries[pid]
+        entry = catalog[pid]
         boxes = sum(series_by_product[pid].values)
         revenues.append(boxes * entry.unit_price)
         ratios.append(boxes / entry.unit_price)

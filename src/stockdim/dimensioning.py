@@ -78,8 +78,8 @@ def plan_products(needs_by_product, on_hand_by_product, months=DEFAULT_STOCK_MON
     """Build one StockPlan per product, in product_id order.
 
     `needs_by_product` maps product_id to the monthly need; every product
-    must have an on-hand level (default missing snapshots to 0 upstream,
-    where the gap can be reported).
+    must have an on-hand level (`parse_inputs` gives 0 to a product with
+    no stock row, and logs it).
     """
     plans = []
     months = _exact(months)

@@ -1,9 +1,11 @@
 """Input parsing, validation, and monthly aggregation of delivery history.
 
 Three CSV files feed the planner: a delivery history (one row per delivery
-line), a product catalog (price, urgency, packaging geometry) and an
-on-hand stock snapshot. Parsing is strict: every bad row is reported with
-its file and line number, and nothing is dropped silently.
+line), a product catalog (price, urgency, packaging geometry) and the
+boxes on hand. Parsing is strict: every bad row is reported with its file
+and line number, and nothing is dropped silently. Each input must be a
+regular file. `parse_inputs` returns one dict per input, each over every
+cataloged product (`LoadedData`).
 
 The delivery file is read in pieces of about `_CHUNK` bytes cut at line
 ends; a lone CR ends a line, as csv reads it. If every piece is plain (its
@@ -30,6 +32,8 @@ import os
 import re
 from dataclasses import dataclass
 from functools import partial
+from stat import S_ISREG
+from typing import NamedTuple
 
 from .forking import _can_fork, _in_two
 
@@ -71,7 +75,7 @@ class MonthlySeries:
             raise ValueError(
                 f"series length must be a positive multiple of 12, got {len(self.values)}"
             )
-        if any(v < 0 for v in self.values):
+        if any(not v >= 0 for v in self.values):  # NaN too
             raise ValueError("series values must be >= 0")
 
     @property
@@ -96,18 +100,6 @@ class MonthlySeries:
         lo = (year - self.start_year) * 12
         return self.values[lo : lo + 12]
 
-    @classmethod
-    def _trusted(cls, product_id, start_year, values):
-        """A series of whole years of values known to be >= 0, built without `__post_init__`'s scan.
-
-        `object.__setattr__` keeps the instance as compact as `__init__` does; `vars(series)` would not.
-        """
-        series = object.__new__(cls)
-        object.__setattr__(series, "product_id", product_id)
-        object.__setattr__(series, "start_year", start_year)
-        object.__setattr__(series, "values", values)
-        return series
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -131,16 +123,12 @@ class CatalogEntry:
             raise ValueError(f"{self.product_id}: carton dimensions must all be > 0")
 
 
-@dataclass(frozen=True)
-class StockSnapshot:
-    """On-hand boxes for one product at planning time."""
+class LoadedData(NamedTuple):
+    """What `parse_inputs` reads: one dict per input, each over every cataloged product, in id order."""
 
-    product_id: str
-    on_hand: int
-
-    def __post_init__(self):
-        if self.on_hand < 0:
-            raise ValueError(f"{self.product_id}: on_hand must be >= 0")
+    series: dict  # product_id -> MonthlySeries of the window
+    catalog: dict  # product_id -> CatalogEntry
+    on_hand: dict  # product_id -> boxes on hand, 0 where the stock file has no row
 
 
 def _parse_year_month(text: str):
@@ -199,6 +187,14 @@ _CHUNK = 1 << 16  # bytes read at a time
 SPLIT_FLOOR = 384 << 10
 
 
+def _size(fd):
+    """The size of file `fd`, which must be regular: a pipe's reads as 0, and a pipe cannot be read twice."""
+    info = os.fstat(fd)
+    if not S_ISREG(info.st_mode):
+        raise OSError("not a regular file")
+    return info.st_size
+
+
 def _preads(fd, start, stop):
     """Bytes [start, stop) of file `fd` in pieces, read without the offset a forked child shares."""
     return (os.pread(fd, min(_CHUNK, stop - pos), pos) for pos in range(start, stop, _CHUNK))
@@ -250,7 +246,7 @@ def _read_keyed(path, expected_header, build):
     shape, bad, rows = [], [], ()
     try:
         with open(path, "rb") as fh:
-            texts = _data_texts(_preads(fh.fileno(), 0, os.fstat(fh.fileno()).st_size), path, expected_header, shape)
+            texts = _data_texts(_preads(fh.fileno(), 0, _size(fh.fileno())), path, expected_header, shape)
             rows = list(csv.reader(_lines(texts))) if texts else ()
     except (OSError, UnicodeError, csv.Error) as exc:  # csv.Error: a field over `csv.field_size_limit()`
         shape.append(f"{path}: cannot read file ({exc})")
@@ -293,10 +289,6 @@ def _catalog_entry(pid, name, price_text, urgency_text, bpc_text, l_text, w_text
             _parse_dim(h_text, "carton_h_mm"),
         ),
     )
-
-
-def _stock_snapshot(pid, on_hand_text):
-    return StockSnapshot(pid, _parse_int(on_hand_text, 0, "on_hand"))
 
 
 def _fold_rows(rows, path, offsets, start_year, n_years):
@@ -385,7 +377,7 @@ def _fold_deliveries(path, offsets, start_year, n_years):
     fold = partial(_fold_texts, offsets=offsets, start_year=start_year, n_years=n_years)
     try:
         with open(path, "rb") as fh:
-            fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
+            fd, size = fh.fileno(), _size(fh.fileno())
             split = size >= SPLIT_FLOOR and _can_fork() and _split_point(fd, size)
             texts = _data_texts(_preads(fd, 0, split or size), path, DELIVERIES_HEADER, shape)  # before any fork
             if texts is None:
@@ -406,12 +398,13 @@ def _fold_deliveries(path, offsets, start_year, n_years):
 
 
 def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_years: int):
-    """Parse and cross-validate the three input files into the window's monthly series.
+    """Parse and cross-validate the three input files into `LoadedData`.
 
-    Returns (series, catalog entries, stock snapshots), where series maps
-    every cataloged product, in id order, to its `MonthlySeries` of the
-    `n_years` years from `start_year`; a product with no delivery gets
-    zeros. Raises InputError whose message carries one `file:line: reason`
+    Its dicts `series`, `catalog` and `on_hand` map every cataloged
+    product, in id order, to its `MonthlySeries` of the `n_years` years
+    from `start_year` (zeros if never delivered), its `CatalogEntry` and
+    its boxes on hand (0, with a WARNING naming it, if it has no stock
+    row). Raises InputError whose message carries one `file:line: reason`
     entry per problem found, so a single run surfaces every bad row:
     field-count problems of the delivery, catalog and stock files first,
     then field-value problems in the same file order, then (only if all
@@ -425,7 +418,8 @@ def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_y
     offsets = {pid: i * width for i, pid in enumerate(sorted(catalog))}
     slots, uncataloged, outside, delivery_shape, delivery_bad = _fold_deliveries(
         deliveries_file, offsets, start_year, n_years)
-    stock, stock_shape, stock_bad = _read_keyed(stock_file, STOCK_HEADER, _stock_snapshot)
+    stock, stock_shape, stock_bad = _read_keyed(
+        stock_file, STOCK_HEADER, lambda pid, text: _parse_int(text, 0, "on_hand"))
     problems = delivery_shape + catalog_shape + stock_shape + delivery_bad + catalog_bad + stock_bad
     # Cross-file checks only make sense once every file parsed cleanly.
     if not problems:
@@ -446,27 +440,14 @@ def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_y
             f"delivery for {pid} dated {start_year + year}-{month + 1:02d} "
             f"falls outside the {start_year}..{start_year + n_years - 1} history window"
         )
-    series = {pid: MonthlySeries._trusted(pid, start_year, tuple(slots[at : at + width]))
-              for pid, at in offsets.items()}
-    return series, [entry for _, entry in catalog.values()], [snap for _, snap in stock.values()]
+    for pid in offsets:
+        if pid not in stock:
+            logger.warning("no stock snapshot for %s; assuming 0 boxes on hand", pid)
+    series = {pid: MonthlySeries(pid, start_year, tuple(slots[at : at + width])) for pid, at in offsets.items()}
+    return LoadedData(series, {pid: catalog[pid][1] for pid in offsets},
+                      {pid: stock[pid][1] if pid in stock else 0 for pid in offsets})
 
 
 def annual_total(series: MonthlySeries, year: int) -> int:
     """Sum of one covered calendar year's 12 monthly values."""
     return sum(series.year_slice(year))
-
-
-def resolve_on_hand(snapshots, product_ids):
-    """Map every product to its on-hand level, defaulting absentees to 0.
-
-    A cataloged product without a stock snapshot is planned as if the
-    depot were empty; the gap is logged because it usually means the
-    stock extract is stale.
-    """
-    levels = {snap.product_id: snap.on_hand for snap in snapshots}
-    resolved = {}
-    for pid in sorted(product_ids):
-        if pid not in levels:
-            logger.warning("no stock snapshot for %s; assuming 0 boxes on hand", pid)
-        resolved[pid] = levels.get(pid, 0)
-    return resolved

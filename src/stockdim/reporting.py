@@ -55,7 +55,7 @@ from .classification import (
 from .dimensioning import DEFAULT_STOCK_MONTHS, plan_products
 from .forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
 from .forking import _can_fork, _in_two
-from .ingestion import parse_inputs, resolve_on_hand
+from .ingestion import LoadedData, parse_inputs
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
 
 CLASSIFICATION_CSV = "classification.csv"
@@ -121,15 +121,6 @@ class RunConfig:
         return self.start_year + self.n_years - 1
 
 
-@dataclass
-class LoadedData:
-    """Parsed and aggregated inputs shared by every pipeline stage."""
-
-    catalog: dict
-    series: dict
-    on_hand: dict
-
-
 _gap_report = partial(tuple.__new__, GapReport)  # a GapReport from a tuple of its fields, built in C
 
 
@@ -140,10 +131,7 @@ def _gap_rows(pid: str, periods, demands, offers) -> list:
 
 
 def load_inputs(config: RunConfig) -> LoadedData:
-    series, entries, snapshots = parse_inputs(
-        config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
-    catalog = {e.product_id: e for e in entries}
-    return LoadedData(catalog=catalog, series=series, on_hand=resolve_on_hand(snapshots, catalog))
+    return parse_inputs(config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
 
 
 def build_gaps(data: LoadedData, product_ids, config: RunConfig):

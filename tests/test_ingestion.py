@@ -12,11 +12,10 @@ from stockdim import ingestion
 from stockdim.ingestion import (
     CATALOG_HEADER,
     InputError,
+    LoadedData,
     MonthlySeries,
-    StockSnapshot,
     annual_total,
     parse_inputs,
-    resolve_on_hand,
 )
 
 from conftest import assert_no_child_left, count_forks, with_an_over_long_field, write_csv
@@ -46,16 +45,15 @@ def parse_delivery_lines(directory, lines, start_year, n_years):
 
 
 def test_parse_well_formed_inputs(tiny_inputs):
-    series, entries, snapshots = parse_inputs(
-        tiny_inputs["deliveries"], tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2
-    )
+    data = parse_inputs(tiny_inputs["deliveries"], tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
+    assert type(data) is LoadedData and data[0] is data.series
     p1, p2 = [0] * 24, [0] * 24
     p1[0], p1[2], p1[14], p2[18] = 10, 50, 60, 5  # days truncated to their month
-    assert series == {"P1": MonthlySeries("P1", 2020, tuple(p1)), "P2": MonthlySeries("P2", 2020, tuple(p2))}
-    assert [e.product_id for e in entries] == ["P1", "P2"]
-    assert entries[0].carton_dims == (400, 300, 200)
-    assert entries[1].urgency == 1
-    assert {s.product_id: s.on_hand for s in snapshots} == {"P1": 20, "P2": 0}
+    assert data.series == {"P1": MonthlySeries("P1", 2020, tuple(p1)), "P2": MonthlySeries("P2", 2020, tuple(p2))}
+    assert [(pid, e.product_id) for pid, e in data.catalog.items()] == [("P1", "P1"), ("P2", "P2")]
+    assert data.catalog["P1"].carton_dims == (400, 300, 200)
+    assert data.catalog["P2"].urgency == 1
+    assert data.on_hand == {"P1": 20, "P2": 0}
 
 
 def test_negative_quantity_reports_file_and_line(tiny_inputs, tmp_path):
@@ -217,16 +215,44 @@ def test_series_window_and_slices():
 
 
 def test_series_rejects_negative_values():
-    for values in ((5,) * 11 + (-1,), (5,) * 11 + (float("nan"),) + (-1,) * 12):
+    for values in ((5,) * 11 + (-1,), (5,) * 11 + (float("nan"),) + (-1,) * 12, (5,) * 11 + (float("nan"),)):
         with pytest.raises(ValueError, match="must be >= 0"):
             MonthlySeries("P", 2020, values)
 
 
-def test_resolve_on_hand_defaults_missing_products(caplog):
+def test_a_product_without_a_stock_row_gets_0_and_one_warning(tiny_inputs, tmp_path, caplog):
+    catalog = write_csv(tmp_path / "catalog3.csv", ",".join(CATALOG_HEADER),
+                        [(pid, f"Product {pid}", 1.0, 0, 10, 400, 300, 200) for pid in ("P1", "P2", "P3")])
+    stock = write_csv(tmp_path / "stock3.csv", "product_id,on_hand", [("P2", 0), ("P1", 7)])
     with caplog.at_level("WARNING"):
-        levels = resolve_on_hand([StockSnapshot("P1", 7)], ["P1", "P2"])
-    assert levels == {"P1": 7, "P2": 0}
-    assert "no stock snapshot for P2" in caplog.text
+        on_hand = parse_inputs(tiny_inputs["deliveries"], catalog, stock, 2020, 2).on_hand
+    assert on_hand == {"P1": 7, "P2": 0, "P3": 0}
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "no stock snapshot for P3; assuming 0 boxes on hand")]
+
+
+def test_every_input_dict_holds_the_cataloged_products_in_id_order(tmp_path):
+    paths = write_inputs(tmp_path, "P1,2020-01,4\nA,2021-12,1\n")
+    paths["catalog"].write_text(",".join(CATALOG_HEADER) + "\n" + "".join(
+        f"{pid},Product {pid},1.0,0,10,400,300,200\n" for pid in ("P1", "C", "A", "B")), encoding="utf-8")
+    write_csv(paths["stock"], "product_id,on_hand", [("B", 2), ("P1", 1), ("A", 3), ("C", 0)])
+    series, catalog, on_hand = parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
+    assert list(series) == list(catalog) == list(on_hand) == ["A", "B", "C", "P1"]
+    assert on_hand == {"A": 3, "B": 2, "C": 0, "P1": 1}
+
+
+@pytest.mark.parametrize("name", ["deliveries", "catalog", "stock"])
+def test_an_input_that_is_not_a_regular_file_is_refused(name, tiny_inputs):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, tiny_inputs[name].read_bytes())
+        os.close(write_end)
+        paths = {**tiny_inputs, name: f"/dev/fd/{read_end}"}
+        with pytest.raises(InputError) as exc:
+            parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
+    finally:
+        os.close(read_end)
+    assert str(exc.value) == f"/dev/fd/{read_end}: cannot read file (not a regular file)"
 
 
 def test_invalid_domain_values_are_rejected(tmp_path):
