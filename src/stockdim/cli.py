@@ -4,8 +4,8 @@ Each subcommand is one row of `_COMMANDS`, which names the files it
 writes; `run_pipeline` computes the stages they need. `_SETTINGS` gives
 every setting its flag, INI option (--config) and default; flags
 override the file, which overrides the defaults. Output goes into
---out-dir with exit code 0; any validation or input error, a non-finite
-number included, prints a single-line `Error: ...` and exits nonzero.
+--out-dir with exit code 0. Any error, a non-finite number included,
+prints `Error: ...`, one line per problem, and exits nonzero.
 """
 
 import configparser

@@ -3,9 +3,11 @@
 Three CSV files feed the planner: a delivery history (one row per delivery
 line), a product catalog (price, urgency, packaging geometry) and the
 boxes on hand. Parsing is strict: every bad row is reported with its file
-and line number, and nothing is dropped silently. Each input must be a
-regular file. `parse_inputs` returns one dict per input, each over every
-cataloged product (`LoadedData`).
+and line number, and nothing is dropped silently. One row check,
+`_cells`, skips blank rows and names wrong field counts and empty ids in
+all three; integers and date parts are ASCII digits (`_INTEGER`). Each
+input must be a regular file. `parse_inputs` returns one dict per input,
+each over every cataloged product (`LoadedData`).
 
 The delivery file is read in pieces of about `_CHUNK` bytes cut at line
 ends; a lone CR ends a line, as csv reads it. If every piece is plain (its
@@ -51,6 +53,7 @@ CATALOG_HEADER = (
     "carton_h_mm",
 )
 STOCK_HEADER = ("product_id", "on_hand")
+_INTEGER = re.compile("-?[0-9]+")  # ASCII only: int() also reads other digits, `_`, `+` and spaces
 
 
 class InputError(ValueError):
@@ -133,25 +136,24 @@ class LoadedData(NamedTuple):
 
 def _parse_year_month(text: str):
     parts = text.strip().split("-")
-    if len(parts) not in (2, 3) or not text.isascii() or "_" in text:  # int() reads other digits and `_` too
-        raise ValueError(f"bad date {text!r}, expected YYYY-MM or YYYY-MM-DD")
-    try:
-        numbers = [int(p) for p in parts]
+    try:  # the parts hold digits only, and int() refuses an empty one
+        if len(parts) not in (2, 3) or not _INTEGER.fullmatch("".join(parts)):
+            raise ValueError
+        year, month, *day = map(int, parts)
     except ValueError:
         raise ValueError(f"bad date {text!r}, expected YYYY-MM or YYYY-MM-DD") from None
-    year, month = numbers[0], numbers[1]
     if not 1 <= month <= 12:
         raise ValueError(f"bad date {text!r}, month must be 1..12")
-    if len(numbers) == 3 and not 1 <= numbers[2] <= 31:
+    if day and not 1 <= day[0] <= 31:
         raise ValueError(f"bad date {text!r}, day must be 1..31")
     return year, month
 
 
 def _parse_int(text: str, minimum: int, what: str) -> int:
     try:
-        if not text.isascii() or "_" in text:  # int() reads other digits and `_` too
+        if not _INTEGER.fullmatch(text.strip()):
             raise ValueError
-        value = int(text.strip())
+        value = int(text)
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
     if value < minimum:
@@ -241,6 +243,21 @@ def _data_texts(pieces, path, expected_header, problems):
     return itertools.chain((head.read(),), texts)
 
 
+def _cells(rows, path, n_fields, shape, bad):
+    """(line, stripped cells) of each csv row from line 2 with `n_fields` cells and a product_id.
+
+    A blank row is skipped; `shape` names a row of another length, `bad` one with an empty id.
+    """
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != n_fields:
+            if row:
+                shape.append(f"{path}:{line_no}: expected {n_fields} fields, got {len(row)}")
+        elif not row[0].strip():
+            bad.append(f"{path}:{line_no}: product_id must not be empty")
+        else:
+            yield line_no, [cell.strip() for cell in row]
+
+
 def _read_keyed(path, expected_header, build):
     """Parse a per-product CSV: ({product_id: (line, build(*row))}, shape and value problems)."""
     shape, bad, rows = [], [], ()
@@ -251,24 +268,11 @@ def _read_keyed(path, expected_header, build):
     except (OSError, UnicodeError, csv.Error) as exc:  # csv.Error: a field over `csv.field_size_limit()`
         shape.append(f"{path}: cannot read file ({exc})")
     parsed = {}
-    for line_no, row in enumerate(rows, start=2):
-        if not row:  # tolerate blank lines
-            continue
-        if len(row) != len(expected_header):
-            shape.append(
-                f"{path}:{line_no}: expected {len(expected_header)} fields, got {len(row)}"
-            )
-            continue
-        row = [cell.strip() for cell in row]
-        pid = row[0]
+    for line_no, (pid, *cells) in _cells(rows, path, len(expected_header), shape, bad):
         try:
-            if not pid:
-                raise ValueError("product_id must not be empty")
             if pid in parsed:
-                raise ValueError(
-                    f"duplicate product_id {pid!r} (first seen at line {parsed[pid][0]})"
-                )
-            parsed[pid] = (line_no, build(*row))
+                raise ValueError(f"duplicate product_id {pid!r} (first seen at line {parsed[pid][0]})")
+            parsed[pid] = (line_no, build(pid, *cells))
         except ValueError as exc:
             bad.append(f"{path}:{line_no}: {exc}")
     return parsed, shape, bad
@@ -294,18 +298,10 @@ def _catalog_entry(pid, name, price_text, urgency_text, bpc_text, l_text, w_text
 def _fold_rows(rows, path, offsets, start_year, n_years):
     """Fold the csv rows of a whole delivery file, the first at line 2, into month slots, one at a time."""
     slots, uncataloged, outside, shape, bad = [0] * (12 * n_years * len(offsets)), [], {}, [], []
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            if row:  # tolerate blank lines
-                shape.append(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            continue
-        pid, date_text, qty_text = row
-        key = pid.strip()
+    for line_no, (key, date_text, qty_text) in _cells(rows, path, 3, shape, bad):
         try:
-            if not key:
-                raise ValueError("product_id must not be empty")
-            year, month = _parse_year_month(date_text.strip())
-            quantity = _parse_int(qty_text.strip(), 0, "quantity")
+            year, month = _parse_year_month(date_text)
+            quantity = _parse_int(qty_text, 0, "quantity")
         except ValueError as exc:
             bad.append(f"{path}:{line_no}: {exc}")
             continue

@@ -340,12 +340,6 @@ class PipelineResult:
             return sorted(self.data.catalog)
         return sorted(r.product_id for r in self.classification if r.strategic)
 
-    @cached_property
-    def needs(self):
-        """Monthly need per product for the target year (exact fractions)."""
-        series = self.data.series
-        return {pid: monthly_need(series[pid], self.config.target_year) for pid in self.product_ids}
-
     @property
     def forecasts(self):
         """Naive then seasonal row per product, fit on all years before the target.
@@ -364,7 +358,8 @@ class PipelineResult:
 
     @cached_property
     def plans(self):
-        return plan_products(self.needs, self.data.on_hand, self.config.multiplier)
+        needs = {pid: monthly_need(self.data.series[pid], self.config.target_year) for pid in self.product_ids}
+        return plan_products(needs, self.data.on_hand, self.config.multiplier)
 
     @cached_property
     def volumes(self):

@@ -305,7 +305,11 @@ def test_every_bad_line_is_reported_in_one_message(tmp_path):
     ("P1,\uff12\uff10\uff12\uff10-01,5", "bad date '\uff12\uff10\uff12\uff10-01', expected YYYY-MM or YYYY-MM-DD"),
     ("P1,2020-01,1_000", "quantity must be an integer, got '1_000'"),
     ("P1,2020-01,\u0663", "quantity must be an integer, got '\u0663'"),
-], ids=["underscore-date", "fullwidth-year", "underscore-quantity", "arabic-indic-quantity"])
+    ("P1,+2020-01,5", "bad date '+2020-01', expected YYYY-MM or YYYY-MM-DD"),
+    ("P1,2020 - 01,5", "bad date '2020 - 01', expected YYYY-MM or YYYY-MM-DD"),
+    ("P1,2020-01,+5", "quantity must be an integer, got '+5'"),
+], ids=["underscore-date", "fullwidth-year", "underscore-quantity", "arabic-indic-quantity", "plus-year",
+        "spaced-date", "plus-quantity"])
 @pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
 def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_cpus, tiny_inputs, tmp_path,
                                                      monkeypatch):
@@ -325,7 +329,10 @@ def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_c
     ("catalog", "P1,Alpha,2.5,0,10,\uff14\uff10\uff10,300,200",
      "carton_l_mm must be a number, got '\uff14\uff10\uff10'"),
     ("stock", "P1,2_0", "on_hand must be an integer, got '2_0'"),
-], ids=["underscore-price", "arabic-indic-urgency", "underscore-boxes", "fullwidth-length", "underscore-on-hand"])
+    ("catalog", "P1,Alpha,2.5,+1,10,400,300,200", "urgency must be an integer, got '+1'"),
+    ("stock", "P1,+20", "on_hand must be an integer, got '+20'"),
+], ids=["underscore-price", "arabic-indic-urgency", "underscore-boxes", "fullwidth-length", "underscore-on-hand",
+        "plus-urgency", "plus-on-hand"])
 def test_catalog_and_stock_numbers_are_ascii_digits(name, row, message, tiny_inputs, tmp_path):
     paths = dict(tiny_inputs)
     header, _, rest = paths[name].read_text(encoding="utf-8").partition("\n")
@@ -335,6 +342,26 @@ def test_catalog_and_stock_numbers_are_ascii_digits(name, row, message, tiny_inp
     with pytest.raises(InputError) as exc:
         parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
     assert str(exc.value) == f"{paths[name]}:2: {message}"
+
+
+@pytest.mark.parametrize("name, row", [
+    ("catalog", "P1,Alpha,2.5,0,10,400,300,200"),
+    ("stock", "P1,20"),
+])
+def test_catalog_and_stock_rows_get_the_row_check_of_deliveries(name, row, tiny_inputs, tmp_path):
+    paths = dict(tiny_inputs)
+    header = paths[name].read_text(encoding="utf-8").partition("\n")[0]
+    width = header.count(",") + 1
+    paths[name] = tmp_path / f"{name}-rows.csv"
+    paths[name].write_text("\n".join([
+        header, "", row, row.rpartition(",")[0], f"{row},7", f" {row[2:]}", f"P2{row[2:]}"]) + "\n", encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
+    assert str(exc.value) == "\n".join([  # the blank line 2 is skipped, yet counted
+        f"{paths[name]}:4: expected {width} fields, got {width - 1}",
+        f"{paths[name]}:5: expected {width} fields, got {width + 1}",
+        f"{paths[name]}:6: product_id must not be empty",
+    ])
 
 
 def test_uncataloged_products_are_reported_once_files_parse_cleanly(tiny_inputs, tmp_path):
