@@ -4,8 +4,10 @@ Each subcommand is one row of `_COMMANDS`, which names the files it
 writes; `run_pipeline` computes the stages they need. `_SETTINGS` gives
 every setting its flag, INI option (--config) and default; flags
 override the file, which overrides the defaults. Output goes into
---out-dir with exit code 0. Any error, a non-finite number included,
-prints `Error: ...`, one line per problem, and exits nonzero.
+--out-dir with exit code 0. Any error, a non-finite number or a result
+too large for a float included, prints `Error: ...`, one line per
+problem, and exits nonzero. A UTF-8 byte order mark opening the INI file
+is skipped.
 """
 
 import configparser
@@ -82,7 +84,7 @@ def _build_config(params) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         if path:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
     except OSError as exc:
         raise click.ClickException(f"cannot read config file {path}: {exc}")
@@ -154,7 +156,7 @@ def _command(name, artifacts, help_text):
     def run(holdout_year=None, **params):
         try:
             files = run_pipeline(_build_config(params), artifacts, holdout_year).files
-        except (ValueError, OSError) as exc:  # InputError and UnpalletizableError included
+        except (ValueError, OSError, OverflowError) as exc:  # InputError and UnpalletizableError included
             raise click.ClickException(str(exc))
         for path in files.values():
             click.echo(f"wrote {path}")

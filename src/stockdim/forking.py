@@ -45,24 +45,16 @@ def _in_two(child, parent):
     exception `child()` raises is raised here, with its type and message,
     in place of any from `parent()`. `child()` returns what `marshal` can
     write; it comes back through a pipe, and the child ends with
-    `os._exit`: it never returns, flushes no stdio and runs no cleanup. A
-    child that dies without its report raises `ChildProcessError`. Frozen
-    objects (`gc.freeze`) are not walked, and so not copied, by either
-    process's collections. If no process can be forked, both run here.
+    `os._exit`: it never returns, flushes no stdio and runs no cleanup.
+    The child is always reaped; one that dies without its report raises
+    `ChildProcessError`. If no process can be forked, both run here.
     """
-    import gc
-
-    froze = not gc.get_freeze_count()
     read_end, write_end = os.pipe()
-    if froze:
-        gc.freeze()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        if froze:
-            gc.unfreeze()
         return child(), parent()
     if pid == 0:
         code = 1
@@ -87,8 +79,6 @@ def _in_two(child, parent):
     finally:
         os.close(read_end)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if froze:
-            gc.unfreeze()
     if code:
         raise ChildProcessError(f"the forked child process exited with status {code}")
     if report[:1] == b"e":

@@ -17,11 +17,10 @@ unquoted and stripped, dates in the window, quantities >= 0), each is
 checked whole and added at once (`_fold_texts`). Otherwise a csv reader
 folds the whole file by rows (`_fold_rows`), naming each fault.
 
-Where the file has `SPLIT_FLOOR` bytes or more, `os.fork` exists and two
-CPUs are usable, a forked child folds the lines before `_split_point`
-while this process folds the rest; if either half is not plain, this
-process folds the whole file by rows. The series and every error message
-are those of one process.
+On a file of `SPLIT_FLOOR` bytes or more, where `forking._can_fork()`, a
+forked child folds the lines before `_split_point` while this process
+folds the rest (`forking._in_two`); if either half is not plain, this
+process folds the whole file by rows.
 """
 
 import csv
@@ -365,9 +364,8 @@ def _fold_deliveries(path, offsets, start_year, n_years):
     `offsets[pid] + (y - start_year) * 12 + m - 1`. Returns those slots,
     the (line_number, product_id) of valid lines naming a product outside
     `offsets`, each cataloged product's first slot outside the window, and
-    the field-count and field-value problems. Where the module docstring
-    says, a child folds the half before `_split_point` while this process
-    folds the rest (`forking._in_two`), or `_fold_rows` the whole file.
+    the field-count and field-value problems. It folds as the module
+    docstring says.
     """
     shape = []
     fold = partial(_fold_texts, offsets=offsets, start_year=start_year, n_years=n_years)

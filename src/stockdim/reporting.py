@@ -10,18 +10,10 @@ settings runs before the output directory exists: a materialized stage
 is computed whole, a streamed one computes its first row (`_started`).
 Then `write_reports` streams each file into a temporary directory inside
 the output directory, moves each into place with `os.replace` and
-removes the temporary directory, also on failure. Where `os.fork`
-exists, the process may run on two or more CPUs and two or more files
-are streamed (`report`: forecast.csv and gap.csv), one forked writer
-child renders the files before gap.csv while this process renders
-gap.csv and summary.json; the error raised is that of the earliest file
-in order that failed, as in one process. A failed run thus
+removes the temporary directory, also on failure. A failed run thus
 keeps the previous outputs. The commit is one rename per file; a failed
 rename puts back the files replaced before it from hard links made
 first, so only a crash between two renames can leave the set mixed.
-`parse_inputs` may likewise fold the first half of a large delivery file
-in a forked child (see `ingestion`), with the results and errors of one
-process.
 Rows are emitted in product_id order (classification in rank order).
 Each CSV row is one f-string, whose `{x}` writes a value as `csv.writer`
 would: a float as its shortest round-trip repr, anything else as `str`.
@@ -245,10 +237,8 @@ def write_reports(out_dir, reports) -> dict:
     opened first. With two or more streamed files (whose `rows` is an
     iterator) and `forking._can_fork()`, a forked writer child renders the
     files before the last streamed one while this process renders that
-    file and the rest (`forking._in_two`), so a `render` in the child
-    changes nothing in this process; otherwise this process renders all,
-    in order. Either way the error raised is that of the earliest file
-    that failed.
+    file and the rest (`forking._in_two`); the error raised is that of
+    the earliest file that failed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -355,18 +355,20 @@ def test_bad_config_value_names_its_section_and_option(bundled_paths, tmp_path):
 
 
 def test_config_file_provides_the_target_year(bundled_paths, tmp_path):
-    config = tmp_path / "run.ini"
+    config, bom = tmp_path / "run.ini", tmp_path / "bom.ini"
     config.write_text("[window]\ntarget_year = 2021\n", encoding="utf-8")
+    bom.write_text("[window]\ntarget_year = 2021\n", encoding="utf-8-sig")  # as spreadsheet tools save
     outputs = {}
     for label, extra in (
         ("ini", ["--config", str(config)]),
+        ("bom-ini", ["--config", str(bom)]),
         ("flag", ["--target-year", "2021"]),
         ("default", []),
     ):
         result = invoke(["plan", "--all"] + extra + base_args(bundled_paths, tmp_path / label))
         assert result.exit_code == 0, result.output
         outputs[label] = (tmp_path / label / "plan.csv").read_bytes()
-    assert outputs["ini"] == outputs["flag"]
+    assert outputs["ini"] == outputs["bom-ini"] == outputs["flag"]
     assert outputs["ini"] != outputs["default"]
 
 
@@ -420,6 +422,18 @@ def test_non_finite_settings_are_rejected_by_name(args, message, bundled_paths, 
     assert last_line(result) == f"Error: {message}"
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "volume", "report"])
+def test_a_result_too_large_for_a_float_is_one_error_line(command, bundled_paths, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plan.csv").write_text("previous\n", encoding="utf-8")
+    result = invoke([command, "--multiplier", "1e308"] + base_args(bundled_paths, out))
+    assert result.exit_code == 1
+    assert last_line(result).startswith("Error: ")
+    assert "Traceback" not in result.output
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {"plan.csv": b"previous\n"}
 
 
 @pytest.mark.parametrize("args, unused", [

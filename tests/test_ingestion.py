@@ -331,8 +331,18 @@ def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_c
     ("stock", "P1,2_0", "on_hand must be an integer, got '2_0'"),
     ("catalog", "P1,Alpha,2.5,+1,10,400,300,200", "urgency must be an integer, got '+1'"),
     ("stock", "P1,+20", "on_hand must be an integer, got '+20'"),
+    ("catalog", "P1,Alpha,0,0,10,400,300,200", "unit_price must be > 0, got '0'"),
+    ("catalog", "P1,Alpha,-2.5,0,10,400,300,200", "unit_price must be > 0, got '-2.5'"),
+    ("catalog", "P1,Alpha,inf,0,10,400,300,200", "unit_price must be > 0, got 'inf'"),
+    ("catalog", "P1,Alpha,2.5,2,10,400,300,200", "P1: urgency must be 0 or 1"),
+    ("catalog", "P1,Alpha,2.5,0,0,400,300,200", "boxes_per_carton must be >= 1, got '0'"),
+    ("catalog", "P1,Alpha,2.5,0,10,0,300,200", "carton_l_mm must be > 0, got '0'"),
+    ("catalog", "P1,Alpha,2.5,0,10,400,300,nan", "carton_h_mm must be > 0, got 'nan'"),
+    ("catalog", "P1,,2.5,0,10,400,300,200", "name must not be empty"),
+    ("stock", "P1,-1", "on_hand must be >= 0, got '-1'"),
 ], ids=["underscore-price", "arabic-indic-urgency", "underscore-boxes", "fullwidth-length", "underscore-on-hand",
-        "plus-urgency", "plus-on-hand"])
+        "plus-urgency", "plus-on-hand", "zero-price", "negative-price", "infinite-price", "urgency-two",
+        "zero-boxes", "zero-length", "nan-height", "empty-name", "negative-on-hand"])
 def test_catalog_and_stock_numbers_are_ascii_digits(name, row, message, tiny_inputs, tmp_path):
     paths = dict(tiny_inputs)
     header, _, rest = paths[name].read_text(encoding="utf-8").partition("\n")

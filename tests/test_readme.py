@@ -1,8 +1,12 @@
 import re
+import shlex
 import shutil
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import stockdim
+from stockdim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +26,21 @@ def test_every_python_block_of_the_readme_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for block in blocks:  # each padded to its README line, so a traceback names that line
         exec(compile("\n" * text.count("\n", 0, block.start(1)) + block.group(1), str(README), "exec"), {})
+
+
+def test_every_cli_line_and_the_ini_example_of_the_readme_run(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in re.findall(r"^```\n(.*?)^```", text, re.S | re.M)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("stockdim ")
+    ]
+    ini = re.search(r"^```ini\n(.*?)^```", text, re.S | re.M).group(1)
+    assert lines and "[paths]" in ini
+    shutil.copytree(README.parent / "data", tmp_path / "data")
+    (tmp_path / "run.ini").write_text(ini, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for args in [shlex.split(line)[1:] for line in lines] + [["plan", "--config", "run.ini"]]:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
