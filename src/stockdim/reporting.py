@@ -3,17 +3,15 @@
 The pipeline is defined once, as the stages of `PipelineResult`. Most
 are computed once, on first use; `forecasts` and `gaps`, each read by
 one file only, are iterators computed as that file is written, anew on
-each read. `run_pipeline` reads only the stages behind the requested
-files (`ARTIFACTS`), for the strategic (class A) subset by default or
-for every product with `include_all`. Every check on the inputs and
-settings runs before the output directory exists: a materialized stage
-is computed whole, a streamed one computes its first row (`_started`).
-Then `write_reports` streams each file into a temporary directory inside
-the output directory, moves each into place with `os.replace` and
-removes the temporary directory, also on failure. A failed run thus
-keeps the previous outputs. The commit is one rename per file; a failed
-rename puts back the files replaced before it from hard links made
-first, so only a crash between two renames can leave the set mixed.
+each read; a check on their rows raises only when they are iterated.
+`run_pipeline` reads only the stages behind the requested files
+(`ARTIFACTS`), for the strategic (class A) subset by default or for
+every product with `include_all`. `write_reports` streams each file into
+a temporary directory inside the output directory and moves each into
+place with `os.replace`. A failed run keeps the previous files and
+removes every directory it created. The commit is one rename per file;
+a failed rename puts back the files replaced before it from hard links
+made first, so only a crash between two renames can leave the set mixed.
 Rows are emitted in product_id order (classification in rank order).
 Each CSV row is one f-string, whose `{x}` writes a value as `csv.writer`
 would: a float as its shortest round-trip repr, anything else as `str`.
@@ -23,6 +21,7 @@ written by `csv.writer` itself (`_id_field`); any other id is written
 as it is.
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -233,47 +232,56 @@ def write_reports(out_dir, reports) -> dict:
     """Write every report into out_dir, all of them or none.
 
     `reports` maps a file name to `(render, rows)`, and `render(rows, fh)`
-    writes that file. Returns the final path of every file. Every file is
-    opened first. With two or more streamed files (whose `rows` is an
-    iterator) and `forking._can_fork()`, a forked writer child renders the
-    files before the last streamed one while this process renders that
-    file and the rest (`forking._in_two`); the error raised is that of
-    the earliest file that failed.
+    writes that file. Returns the final path of every file. A failure
+    keeps the previous files, removes every directory this call created
+    (`out_dir` and its missing parents) and raises its own error. Every
+    file is opened first. With two or more streamed files (whose `rows`
+    is an iterator) and `forking._can_fork()`, a forked writer child
+    renders the files before the last streamed one while this process
+    renders that file and the rest (`forking._in_two`); the error raised
+    is that of the earliest file that failed.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".stockdim-", dir=out_dir) as tmp:
-        jobs = []
-        try:
-            for name, (render, rows) in reports.items():
-                jobs.append((render, rows, open(os.path.join(tmp, name), "w", encoding="utf-8")))
-            streamed = [index for index, job in enumerate(jobs) if iter(job[1]) is job[1]]
-            if len(streamed) < 2 or not _can_fork():
-                _render_all(jobs)
-            else:
-                own = streamed[-1]
-                _in_two(lambda: _render_all(jobs[:own]), lambda: _render_all(jobs[own:]))
-        finally:
-            for job in jobs:
-                job[2].close()
-        files, kept = {name: out_dir / name for name in reports}, tempfile.mkdtemp(dir=tmp)
-        try:  # a hard link to each file a rename replaces, so that a failed rename can be undone
-            for name, path in files.items():
-                if path.exists():
-                    os.link(path, os.path.join(kept, name))
-        except OSError:  # no hard links here
-            kept = None
-        for done, (name, path) in enumerate(files.items()):
+    made = [directory for directory in (out_dir, *out_dir.parents) if not directory.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".stockdim-", dir=out_dir) as tmp:
+            jobs = []
             try:
-                os.replace(os.path.join(tmp, name), path)
-            except OSError:
-                for name in list(files)[:done] if kept else ():  # the previous file back, or none
-                    old = os.path.join(kept, name)
-                    if os.path.exists(old):
-                        os.replace(old, files[name])
-                    else:
-                        os.remove(files[name])
-                raise
+                for name, (render, rows) in reports.items():
+                    jobs.append((render, rows, open(os.path.join(tmp, name), "w", encoding="utf-8")))
+                streamed = [index for index, job in enumerate(jobs) if iter(job[1]) is job[1]]
+                if len(streamed) < 2 or not _can_fork():
+                    _render_all(jobs)
+                else:
+                    own = streamed[-1]
+                    _in_two(lambda: _render_all(jobs[:own]), lambda: _render_all(jobs[own:]))
+            finally:
+                for job in jobs:
+                    job[2].close()
+            files, kept = {name: out_dir / name for name in reports}, tempfile.mkdtemp(dir=tmp)
+            try:  # a hard link to each file a rename replaces, so that a failed rename can be undone
+                for name, path in files.items():
+                    if path.exists():
+                        os.link(path, os.path.join(kept, name))
+            except OSError:  # no hard links here
+                kept = None
+            for done, (name, path) in enumerate(files.items()):
+                try:
+                    os.replace(os.path.join(tmp, name), path)
+                except OSError:
+                    for name in list(files)[:done] if kept else ():  # the previous file back, or none
+                        old = os.path.join(kept, name)
+                        if os.path.exists(old):
+                            os.replace(old, files[name])
+                        else:
+                            os.remove(files[name])
+                    raise
+    except BaseException:
+        for directory in made:  # innermost first; rmdir removes only an empty directory
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     return files
 
 
@@ -288,21 +296,6 @@ ARTIFACTS = {
     GAP_CSV: ("gap_csv", "gaps"),
     SUMMARY_JSON: ("_summary_json", "summary"),
 }
-
-
-def _started(rows):
-    """An iterator over `rows` whose first row is computed now.
-
-    Every product's series spans the run's window, so a check that fails
-    for one product of a streamed stage (too few years to fit a profile,
-    no prior year for a need) fails for the first. Computing that row
-    when the stage is read raises it before `write_reports` creates the
-    output directory.
-    """
-    rows = iter(rows)
-    for first in rows:
-        return itertools.chain((first,), rows)
-    return rows
 
 
 class PipelineResult:
@@ -334,11 +327,9 @@ class PipelineResult:
     def forecasts(self):
         """Naive then seasonal row per product, fit on all years before the target.
 
-        Unlike the cached stages, a fresh iterator on each read.
+        Unlike the cached stages, a fresh iterator on each read, which
+        raises only when it is iterated.
         """
-        return _started(self._forecast_rows())
-
-    def _forecast_rows(self):
         for pid in self.product_ids:
             yield from forecast_year(self.data.series[pid], self.config.target_year)
 
@@ -349,7 +340,14 @@ class PipelineResult:
     @cached_property
     def plans(self):
         needs = {pid: monthly_need(self.data.series[pid], self.config.target_year) for pid in self.product_ids}
-        return plan_products(needs, self.data.on_hand, self.config.multiplier)
+        plans = plan_products(needs, self.data.on_hand, self.config.multiplier)
+        for plan in plans:  # name the first strategic stock too large for a float, before any file
+            try:
+                float(plan.strategic_qty)
+            except OverflowError:
+                raise ValueError(f"{plan.product_id}: stock multiplier {self.config.multiplier} makes "
+                                 "the strategic stock too large for a float") from None
+        return plans
 
     @cached_property
     def volumes(self):
@@ -359,7 +357,7 @@ class PipelineResult:
     @property
     def gaps(self):
         """`build_gaps` rows, a fresh iterator on each read like `forecasts`."""
-        return _started(build_gaps(self.data, self.product_ids, self.config))
+        return build_gaps(self.data, self.product_ids, self.config)
 
     @cached_property
     def summary(self) -> dict:
@@ -378,9 +376,9 @@ def run_pipeline(config: RunConfig, artifacts=REPORT, holdout_year=None) -> Pipe
     product), forecast/plan/volume/gap CSVs of the selected products and
     summary.json. backtest.csv scores `holdout_year` (default: the last
     history year). Identical inputs and config give byte-identical files.
-    Every stage except `forecasts` and `gaps` is computed before
-    `config.out_dir` is created; those two compute their first row then
-    and the rest while their file is written.
+    `forecasts` and `gaps` are computed row by row while their file is
+    written. A failed run keeps the previous files and removes every
+    directory it created (`write_reports`).
     """
     result = PipelineResult(config, holdout_year)
     reports = {}

@@ -431,7 +431,9 @@ def test_a_result_too_large_for_a_float_is_one_error_line(command, bundled_paths
     (out / "plan.csv").write_text("previous\n", encoding="utf-8")
     result = invoke([command, "--multiplier", "1e308"] + base_args(bundled_paths, out))
     assert result.exit_code == 1
-    assert last_line(result).startswith("Error: ")
+    assert last_line(result) == (
+        "Error: DG-0002: stock multiplier 1e+308 makes the strategic stock too large for a float"
+    )
     assert "Traceback" not in result.output
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {"plan.csv": b"previous\n"}
 
@@ -476,6 +478,33 @@ def test_failure_in_the_writer_child_keeps_the_previous_outputs(bundled_paths, t
 
 
 @pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("command, render, previous", [
+    ("plan", "plan_csv", None),
+    ("report", "forecast_csv", None),  # rendered by the writer child
+    ("report", "forecast_csv", "report"),
+], ids=["plan-new-dirs", "report-child-new-dirs", "report-child-previous-files"])
+def test_a_failed_write_removes_the_directories_it_made(command, render, previous, bundled_paths, tmp_path,
+                                                         monkeypatch):
+    out = tmp_path / "a" / "b"
+    if previous:
+        assert invoke([previous] + base_args(bundled_paths, out)).exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if previous else None
+
+    def failing(rows, fh):
+        raise ValueError(f"{render} failed")
+
+    monkeypatch.setattr(reporting, render, failing)
+    result = invoke([command, "--multiplier", "6"] + base_args(bundled_paths, out))
+    assert result.exit_code == 1
+    assert last_line(result) == f"Error: {render} failed"
+    if previous:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not (tmp_path / "a").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("child_render, child_file, reported", [
     ("forecast_csv", "forecast.csv", "forecast.csv failed"),
     ("_summary_json", "summary.json", "gap.csv failed"),
@@ -492,7 +521,7 @@ def test_the_earliest_failed_file_is_reported(child_render, child_file, reported
     result = invoke(["report", "--all"] + base_args(bundled_paths, tmp_path / "out"))
     assert result.exit_code == 1
     assert result.output == f"Error: {reported}\n"
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
     assert_no_child_left()
 
 

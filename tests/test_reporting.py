@@ -499,6 +499,20 @@ def test_a_writer_child_that_dies_fails_the_run(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_directory_that_cannot_be_removed_never_hides_the_run_error(tmp_path, monkeypatch):
+    def fail(rows, fh):
+        raise ValueError("bad row")
+
+    def rmdir(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "rmdir", rmdir)
+    with pytest.raises(ValueError, match="^bad row$"):
+        write_reports(tmp_path / "a" / "b", {"a.csv": (fail, ["a\n"])})
+    assert [path.name for path in (tmp_path / "a").iterdir()] == ["b"]
+    assert list((tmp_path / "a" / "b").iterdir()) == []
+
+
 @pytest.mark.usefixtures("two_cpus")
 def test_streamed_files_render_in_two_processes_into_one_commit(tmp_path):
     pids = {}

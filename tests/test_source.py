@@ -1,6 +1,7 @@
-"""Checks of the source text of `src/stockdim`, made with `ast` alone."""
+"""Checks of the source text of `src/stockdim` and README, made with `ast` and `re` alone."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stockdim"
@@ -34,3 +35,18 @@ def test_every_module_level_name_in_src_is_read_in_src():
     read = {name for tree in trees.values() for name in reads(tree)}
     assert [f"{module}: {name}" for module, tree in trees.items() for name in module_level_names(tree)
             if not (name.startswith("__") and name.endswith("__")) and name not in read] == []
+
+
+def test_every_private_name_the_docs_mention_is_in_src():
+    # a backticked `_name` (or `module._name`) in a docstring, comment or README must still exist
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    known = {"_fields", "_replace", "_asdict", "_make"}  # NamedTuple's own methods
+    for tree in trees:
+        known.update(reads(tree))
+        known.update(node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        known.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    docs = [*sorted(SRC.glob("*.py")), SRC.parent.parent / "README.md"]
+    mentioned = {(doc.name, name) for doc in docs
+                 for name in re.findall(r"`(?:\w+\.)*(_(?!_)\w+)", doc.read_text(encoding="utf-8"))}
+    assert sorted(f"{doc}: {name}" for doc, name in mentioned if name not in known) == []
