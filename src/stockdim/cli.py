@@ -86,7 +86,7 @@ def _build_config(params) -> RunConfig:
         if path:
             with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise click.ClickException(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:  # some of these messages span lines
         raise click.ClickException(

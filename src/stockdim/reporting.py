@@ -24,10 +24,8 @@ as it is.
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -167,18 +165,10 @@ def classification_csv(results, fh):
     )
 
 
-def _floats_field(values) -> str:
-    """Floats joined by commas, as `csv.writer` writes them; a row of one float object is formatted once."""
-    # identity, not equality: 0.0 == -0.0, but the two are written differently
-    if values and all(map(operator.is_, values, itertools.repeat(values[0]))):
-        return ",".join((str(values[0]),) * len(values))
-    return ",".join(map(str, values))
-
-
 def forecast_csv(forecasts, fh):
     fh.write("product_id,method," + ",".join(f"m{i}" for i in range(1, 13)) + "\n")
     fh.writelines(
-        f"{_id_field(pid)},{method},{_floats_field(values)}\n" for pid, method, values in forecasts
+        f"{_id_field(pid)},{method},{','.join(map(str, values))}\n" for pid, method, values in forecasts
     )
 
 
@@ -361,12 +351,16 @@ class PipelineResult:
 
     @cached_property
     def summary(self) -> dict:
-        return {
+        summary = {
             "products_planned": len(self.product_ids),
             "total_qc_boxes": sum(float(p.order_qty) for p in self.plans),
             "total_pallets": sum(v.pallets for v in self.volumes),
             "total_volume_m3": sum(v.total_volume_m3 for v in self.volumes),
         }
+        for key in ("total_qc_boxes", "total_volume_m3"):  # a sum of finite floats can still overflow
+            if not math.isfinite(summary[key]):
+                raise ValueError(f"stock multiplier {self.config.multiplier} makes {key} too large for a float")
+        return summary
 
 
 def run_pipeline(config: RunConfig, artifacts=REPORT, holdout_year=None) -> PipelineResult:

@@ -335,6 +335,18 @@ def test_unreadable_config_file_fails_cleanly(bundled_paths, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_that_is_not_utf8_is_named_in_its_error(bundled_paths, tmp_path):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(b"[window]\nyears = \xff\n")
+    result = invoke(["plan", "--config", str(config)] + base_args(bundled_paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    assert last_line(result) == (
+        f"Error: cannot read config file {config}: "
+        "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_file_fails_cleanly(bundled_paths, tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[window]\nyears = 3\nyears = 4\n", encoding="utf-8")
@@ -424,16 +436,22 @@ def test_non_finite_settings_are_rejected_by_name(args, message, bundled_paths, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["plan", "volume", "report"])
-def test_a_result_too_large_for_a_float_is_one_error_line(command, bundled_paths, tmp_path):
+TOO_LARGE = "DG-0002: stock multiplier 1e+308 makes the strategic stock too large for a float"
+
+
+@pytest.mark.parametrize("command, multiplier, message", [
+    ("plan", "1e308", TOO_LARGE),
+    ("volume", "1e308", TOO_LARGE),
+    ("report", "1e308", TOO_LARGE),
+    ("report", "1e305", "stock multiplier 1e+305 makes total_qc_boxes too large for a float"),
+], ids=["plan", "volume", "report", "report-summary"])
+def test_a_result_too_large_for_a_float_is_one_error_line(command, multiplier, message, bundled_paths, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     (out / "plan.csv").write_text("previous\n", encoding="utf-8")
-    result = invoke([command, "--multiplier", "1e308"] + base_args(bundled_paths, out))
+    result = invoke([command, "--multiplier", multiplier] + base_args(bundled_paths, out))
     assert result.exit_code == 1
-    assert last_line(result) == (
-        "Error: DG-0002: stock multiplier 1e+308 makes the strategic stock too large for a float"
-    )
+    assert last_line(result) == f"Error: {message}"
     assert "Traceback" not in result.output
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {"plan.csv": b"previous\n"}
 

@@ -20,6 +20,7 @@ from stockdim import (
     VolumetricPlan,
 )
 from stockdim.forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
+from stockdim.forking import _can_fork
 from stockdim.ingestion import InputError, MonthlySeries
 from stockdim.reporting import (
     BACKTEST_CSV,
@@ -456,6 +457,25 @@ class TwoArgumentError(ValueError):
 
 def write_lines(rows, fh):
     fh.writelines(rows)
+
+
+@pytest.mark.parametrize("fork, affinity, cpu_count, can", [
+    (True, {0, 1}, None, True),
+    (True, {0}, None, False),
+    (True, None, 2, True),  # no sched_getaffinity, as on macOS
+    (True, None, 1, False),
+    (True, None, None, False),
+    (False, {0, 1}, 2, False),
+], ids=["affinity-2", "affinity-1", "cpu-count-2", "cpu-count-1", "cpu-count-none", "no-fork"])
+def test_can_fork_needs_os_fork_and_two_usable_cpus(fork, affinity, cpu_count, can, monkeypatch):
+    if not fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert _can_fork() is can
 
 
 @pytest.mark.usefixtures("two_cpus")

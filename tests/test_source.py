@@ -50,3 +50,21 @@ def test_every_private_name_the_docs_mention_is_in_src():
     mentioned = {(doc.name, name) for doc in docs
                  for name in re.findall(r"`(?:\w+\.)*(_(?!_)\w+)", doc.read_text(encoding="utf-8"))}
     assert sorted(f"{doc}: {name}" for doc, name in mentioned if name not in known) == []
+
+
+def imported_names(tree):
+    """The name each import statement of a module binds, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+
+
+def test_every_name_a_module_imports_is_read_in_that_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the public API
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in loaded]
+    assert unused == []
