@@ -4,15 +4,16 @@
 it, with no lookahead. The baseline monthly need is the total T of year
 `year - 1` over twelve, and the naive forecast repeats it. The seasonal
 forecast spreads the same annual quantity T by month weight: w_m sums
-month m over every year before `year` (all ones if those months are all
-zero), so month m gets the need times the index 12 * w_m / sum(w), and
-the indices average to exactly 1.
+month m over every year before `year`, and month m gets T * w_m / sum(w),
+the need T / 12 times the seasonal index 12 * w_m / sum(w). Year
+`year - 1` is one of the summed years, so where every w_m is 0, T is 0
+and so is every month.
 
 Both are exact by construction, in integers rather than `Fraction`
-objects: each seasonal value, T * 12 * w_m / (12 * sum(w)), is one
-correctly rounded int/int division, the float nearest the exact value,
-as `float(Fraction(...))` gives. On perfectly periodic demand the
-seasonal forecast therefore reproduces the actuals with zero error.
+objects: each seasonal value, T * w_m / sum(w), is one correctly
+rounded int/int division, the float nearest the exact value, as
+`float(Fraction(...))` gives. On perfectly periodic demand the seasonal
+forecast therefore reproduces the actuals with zero error.
 """
 
 from fractions import Fraction
@@ -61,24 +62,6 @@ def _prior_total(series: MonthlySeries, year: int) -> int:
     return annual_total(series, prior)
 
 
-def _month_weights(series: MonthlySeries, year: int) -> tuple:
-    """The 12 month sums over every year of the series before `year`, or (1,) * 12 if all are 0."""
-    fit_years = year - series.start_year
-    if fit_years < MIN_FIT_YEARS:
-        raise ValueError(
-            f"{series.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
-            f"seasonal indices, got {fit_years}"
-        )
-    weights = tuple(map(sum, zip(*[series.values[lo : lo + 12] for lo in range(0, 12 * fit_years, 12)])))
-    return weights if any(weights) else (1,) * 12
-
-
-def _spread(total: int, weights: tuple) -> tuple:
-    """The need total / 12 times 12 * w / sum(weights) for each weight w, as one int/int division."""
-    num, den = total * 12, 12 * sum(weights)
-    return tuple([num * w / den for w in weights])
-
-
 def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
     """Baseline need for the target year: prior-year deliveries / 12.
 
@@ -95,9 +78,16 @@ def forecast_year(series: MonthlySeries, year: int) -> tuple:
     `year - 1`. Month m of the seasonal row is T * w_m / sum(w), with w
     the month sums over the `MIN_FIT_YEARS` or more years before `year`.
     """
-    total, weights = _prior_total(series, year), _month_weights(series, year)
+    total, fit_years = _prior_total(series, year), year - series.start_year
+    if fit_years < MIN_FIT_YEARS:
+        raise ValueError(
+            f"{series.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
+            f"seasonal indices, got {fit_years}"
+        )
+    weights = [*map(sum, zip(*[series.values[lo : lo + 12] for lo in range(0, 12 * fit_years, 12)]))]
+    den = sum(weights) or 1  # all zero only where T, a summed year, is 0: every month is 0.0
     return (ForecastResult(series.product_id, METHOD_NAIVE, (total / 12,) * 12),
-            ForecastResult(series.product_id, METHOD_SEASONAL, _spread(total, weights)))
+            ForecastResult(series.product_id, METHOD_SEASONAL, tuple([total * w / den for w in weights])))
 
 
 def _mae(forecast_values, actual) -> float:

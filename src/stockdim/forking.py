@@ -47,8 +47,10 @@ def _in_two(child, parent):
     write; it comes back through a pipe, and the child ends with
     `os._exit`: it never returns, flushes no stdio and runs no cleanup.
     The child is always reaped; one that dies without its report raises
-    `ChildProcessError`. If no process can be forked, both run here.
+    `ChildProcessError`. Where not `_can_fork()` or the fork fails, both run here.
     """
+    if not _can_fork():
+        return child(), parent()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()

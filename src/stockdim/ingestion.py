@@ -17,10 +17,10 @@ unquoted and stripped, dates in the window, quantities >= 0), each is
 checked whole and added at once (`_fold_texts`). Otherwise a csv reader
 folds the whole file by rows (`_fold_rows`), naming each fault.
 
-On a file of `SPLIT_FLOOR` bytes or more, where `forking._can_fork()`, a
-forked child folds the lines before `_split_point` while this process
-folds the rest (`forking._in_two`); if either half is not plain, this
-process folds the whole file by rows.
+On a file of `SPLIT_FLOOR` bytes or more, the lines before `_split_point`
+and the rest fold apart (`forking._in_two`, which decides whether a
+forked child folds the first half meanwhile); if either half is not
+plain, this process folds the whole file by rows.
 """
 
 import csv
@@ -36,7 +36,7 @@ from functools import partial
 from stat import S_ISREG
 from typing import NamedTuple
 
-from .forking import _can_fork, _in_two
+from .forking import _in_two
 
 logger = logging.getLogger(__name__)
 
@@ -372,7 +372,7 @@ def _fold_deliveries(path, offsets, start_year, n_years):
     try:
         with open(path, "rb") as fh:
             fd, size = fh.fileno(), _size(fh.fileno())
-            split = size >= SPLIT_FLOOR and _can_fork() and _split_point(fd, size)
+            split = size >= SPLIT_FLOOR and _split_point(fd, size)
             texts = _data_texts(_preads(fd, 0, split or size), path, DELIVERIES_HEADER, shape)  # before any fork
             if texts is None:
                 return [], [], {}, shape, []

@@ -43,7 +43,7 @@ from .classification import (
 )
 from .dimensioning import DEFAULT_STOCK_MONTHS, plan_products
 from .forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
-from .forking import _can_fork, _in_two
+from .forking import _in_two
 from .ingestion import LoadedData, parse_inputs
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
 
@@ -113,12 +113,6 @@ class RunConfig:
 _gap_report = partial(tuple.__new__, GapReport)  # a GapReport from a tuple of its fields, built in C
 
 
-def _gap_rows(pid: str, periods, demands, offers) -> list:
-    """One product's GapReport per period, from one comprehension of their fields."""
-    return [*map(_gap_report, [(pid, period, d, o, d - o, 1.0 if d <= 0 else min(o, d) / d)
-                               for period, d, o in zip(periods, demands, offers)])]
-
-
 def load_inputs(config: RunConfig) -> LoadedData:
     return parse_inputs(config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
 
@@ -139,7 +133,9 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
         else:
             offers = (float(monthly_need(series, year)),) * 12
         demands = series.year_slice(year)
-        yield from _gap_rows(pid, periods, (sum(demands), *demands), (sum(offers), *offers))
+        demands, offers = (sum(demands), *demands), (sum(offers), *offers)
+        yield from map(_gap_report, [(pid, period, d, o, d - o, 1.0 if d <= 0 else min(o, d) / d)
+                                     for period, d, o in zip(periods, demands, offers)])
 
 
 def _id_field(pid) -> str:
@@ -226,10 +222,10 @@ def write_reports(out_dir, reports) -> dict:
     keeps the previous files, removes every directory this call created
     (`out_dir` and its missing parents) and raises its own error. Every
     file is opened first. With two or more streamed files (whose `rows`
-    is an iterator) and `forking._can_fork()`, a forked writer child
-    renders the files before the last streamed one while this process
-    renders that file and the rest (`forking._in_two`); the error raised
-    is that of the earliest file that failed.
+    is an iterator), the files before the last streamed one render apart
+    from that file and the rest (`forking._in_two`, which decides whether
+    a forked writer child renders the first part meanwhile); the error
+    raised is that of the earliest file that failed.
     """
     out_dir = Path(out_dir)
     made = [directory for directory in (out_dir, *out_dir.parents) if not directory.exists()]
@@ -241,7 +237,7 @@ def write_reports(out_dir, reports) -> dict:
                 for name, (render, rows) in reports.items():
                     jobs.append((render, rows, open(os.path.join(tmp, name), "w", encoding="utf-8")))
                 streamed = [index for index, job in enumerate(jobs) if iter(job[1]) is job[1]]
-                if len(streamed) < 2 or not _can_fork():
+                if len(streamed) < 2:
                     _render_all(jobs)
                 else:
                     own = streamed[-1]
@@ -342,7 +338,12 @@ class PipelineResult:
     @cached_property
     def volumes(self):
         catalog, pallet = self.data.catalog, self.config.pallet
-        return [volumetric_plan(p, catalog[p.product_id], pallet) for p in self.plans]
+        volumes = [volumetric_plan(p, catalog[p.product_id], pallet) for p in self.plans]
+        for volume in volumes:  # name the first volume too large for a float, as `plans` does its stock
+            if not math.isfinite(volume.total_volume_m3):
+                raise ValueError(f"{volume.product_id}: stock multiplier {self.config.multiplier} makes "
+                                 "total_volume_m3 too large for a float")
+        return volumes
 
     @property
     def gaps(self):

@@ -100,7 +100,7 @@ def cartons_per_pallet(carton_dims, pallet: PalletSpec):
     return best_count, best_orientation
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: 400 and 400.0 keep their own orientation text
+@lru_cache(maxsize=None, typed=True)  # typed: 400 and 400.0 keep their own orientation text
 def _carton_fit(length, width, height, pallet: PalletSpec):
     """`cartons_per_pallet` once per carton format; a catalog has far fewer formats than products."""
     return cartons_per_pallet((length, width, height), pallet)

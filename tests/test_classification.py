@@ -91,6 +91,14 @@ def test_constant_criterion_normalizes_to_zero():
 def test_empty_product_set_rejected():
     with pytest.raises(ValueError, match="empty product set"):
         score_products({}, {}, CriteriaWeights())
+    with pytest.raises(ValueError, match="^cannot rank an empty product set$"):
+        rank_and_cut([])
+
+
+def test_a_series_without_a_catalog_entry_rejected():
+    series = {"A": series_with_total("A", 10), "B": series_with_total("B", 10)}
+    with pytest.raises(ValueError, match="^no catalog entry for product 'B'$"):
+        score_products(series, {"A": entry("A", 1.0)}, CriteriaWeights())
 
 
 def test_cut_example_from_share_table():

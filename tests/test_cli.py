@@ -456,6 +456,27 @@ def test_a_result_too_large_for_a_float_is_one_error_line(command, multiplier, m
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {"plan.csv": b"previous\n"}
 
 
+@pytest.mark.parametrize("command", ["volume", "report"])
+def test_a_volume_too_large_for_a_float_is_one_error_line(command, tiny_inputs, tmp_path):
+    # P1's 5e300 boxes fill 5e299 cartons of 1e9 m3 each: a finite stock, an infinite volume.
+    write_csv(tiny_inputs["catalog"], ",".join(ingestion.CATALOG_HEADER), [
+        ("P1", "Alpha", 2.5, 0, 10, 1000000, 1000000, 1000000), ("P2", "Beta", 4.0, 1, 6, 300, 300, 300),
+    ])
+    result = invoke([
+        command, "--all",
+        "--deliveries", str(tiny_inputs["deliveries"]),
+        "--catalog", str(tiny_inputs["catalog"]),
+        "--stock", str(tiny_inputs["stock"]),
+        "--start-year", "2020", "--years", "2",
+        "--pallet-l", "1e7", "--pallet-w", "1e7", "--pallet-h", "1e7", "--multiplier", "1e300",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert last_line(result) == "Error: P1: stock multiplier 1e+300 makes total_volume_m3 too large for a float"
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args, unused", [
     (["classify"], ("monthly_need", "plan_products", "build_gaps", "backtest")),
     (["forecast"], ("plan_products", "build_gaps")),

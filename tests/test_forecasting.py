@@ -9,7 +9,6 @@ from stockdim.forecasting import (
     METHOD_NAIVE,
     METHOD_SEASONAL,
     MIN_FIT_YEARS,
-    _month_weights,
     backtest,
     forecast_year,
     monthly_need,
@@ -54,7 +53,6 @@ def test_december_peak_indices_hand_check():
 
 def test_all_zero_series_falls_back_to_flat_profile():
     series = years((0,) * 12, 3)
-    assert _month_weights(series, 2022) == (1,) * 12
     for result in forecast_year(series, 2022):  # no division by the zero month sum
         assert result.monthly_values == (0.0,) * 12
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stockdim import ingestion
 from stockdim.ingestion import (
     CATALOG_HEADER,
+    CatalogEntry,
     InputError,
     LoadedData,
     MonthlySeries,
@@ -260,6 +261,15 @@ def test_invalid_domain_values_are_rejected(tmp_path):
         parse_delivery_lines(tmp_path, ["P1,2020-13,1"], 2020, 1)
     with pytest.raises(ValueError):
         MonthlySeries("P", 2020, (1, 2, 3))  # not a multiple of 12
+    with pytest.raises(ValueError, match="^n_years must be >= 1, got 0$"):
+        parse_inputs(tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "s.csv", 2020, 0)
+    for fields, message in [
+        ((0, 0, 10, (400, 300, 200)), "P1: unit_price must be > 0"),
+        ((2.5, 0, 0, (400, 300, 200)), "P1: boxes_per_carton must be >= 1"),
+        ((2.5, 0, 10, (400, 0, 200)), "P1: carton dimensions must all be > 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CatalogEntry("P1", "Alpha", *fields)
 
 
 def test_every_bad_line_is_reported_in_one_message(tmp_path):
@@ -308,8 +318,9 @@ def test_every_bad_line_is_reported_in_one_message(tmp_path):
     ("P1,+2020-01,5", "bad date '+2020-01', expected YYYY-MM or YYYY-MM-DD"),
     ("P1,2020 - 01,5", "bad date '2020 - 01', expected YYYY-MM or YYYY-MM-DD"),
     ("P1,2020-01,+5", "quantity must be an integer, got '+5'"),
+    ("P1,2020-01-32,5", "bad date '2020-01-32', day must be 1..31"),
 ], ids=["underscore-date", "fullwidth-year", "underscore-quantity", "arabic-indic-quantity", "plus-year",
-        "spaced-date", "plus-quantity"])
+        "spaced-date", "plus-quantity", "day-32"])
 @pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
 def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_cpus, tiny_inputs, tmp_path,
                                                      monkeypatch):

@@ -29,7 +29,6 @@ from stockdim.reporting import (
     LoadedData,
     PLAN_CSV,
     RunConfig,
-    _gap_rows,
     backtest_csv,
     build_gaps,
     classification_csv,
@@ -65,15 +64,19 @@ def read_rows(path):
 
 
 def test_gap_kpi_conventions():
-    periods = ("2021", "2021-01", "2021-02", "2021-03")
-    met, short, over, idle = _gap_rows("P", periods, (100, 100, 40, 0), (100, 60, 100, 50))
+    # One earlier year only, so 2021 is offered the flat 1200 / 12 = 100 boxes a month.
+    series = MonthlySeries("P", 2020, (100,) * 12 + (100, 250, 40) + (0,) * 9)
+    config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
+                       start_year=2020, n_years=2, target_year=2022)
+    rows = list(build_gaps(LoadedData(series={"P": series}, catalog={}, on_hand={}), ["P"], config))
+    met, short, over, idle = rows[1:5]
     assert met.gap == 0 and met.service_rate == 1.0
-    assert short.gap == 40 and short.service_rate == 0.6
+    assert short.gap == 150 and short.service_rate == 0.4
     assert over.gap == -60 and over.service_rate == 1.0  # the offer counts up to demand only
-    assert idle.gap == -50 and idle.service_rate == 1.0  # no demand: fully served, offer in excess
+    assert idle.gap == -100 and idle.service_rate == 1.0  # no demand: fully served, offer in excess
     with pytest.raises(AttributeError):
         met.gap = 1
-    assert short == ("P", "2021-01", 100, 60, 40, 0.6) and type(short) is GapReport
+    assert short == ("P", "2021-02", 250, 100.0, 150.0, 0.4) and type(short) is GapReport
     assert GapReport._fields == ("product_id", "period", "demand", "offered", "gap", "service_rate")
 
 
@@ -125,6 +128,8 @@ def test_output_records_are_named_tuples(record, fields, plain):
 
 
 def test_run_config_validation(bundled_paths, tmp_path):
+    with pytest.raises(ValueError, match="^history window must cover at least 1 year, got 0$"):
+        make_config(bundled_paths, tmp_path, n_years=0)
     with pytest.raises(ValueError, match="must be after the window start"):
         make_config(bundled_paths, tmp_path, target_year=2019)
     with pytest.raises(ValueError, match="needs year 2024 of history"):

@@ -14,6 +14,7 @@ from stockdim.volumetric import (
     PalletSpec,
     UnpalletizableError,
     VolumetricPlan,
+    _carton_fit,
     cartons_needed,
     cartons_per_pallet,
     pallets_needed,
@@ -51,6 +52,16 @@ def test_cartons_needed_examples():
         cartons_needed(-1, 24)
     with pytest.raises(ValueError):
         cartons_needed(10, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pallets_needed(-1, 1), "cartons must be >= 0, got -1"),
+    (lambda: pallets_needed(1, 0), "cartons_per_pallet must be >= 1, got 0"),
+    (lambda: cartons_per_pallet((1, 2), DEFAULT_PALLET), "carton dimensions must be three positive numbers"),
+], ids=["negative-cartons", "empty-pallet", "two-dimensions"])
+def test_pallet_counts_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_orientation_search_tie_breaks_lexicographically():
@@ -170,6 +181,14 @@ def test_carton_fit_keeps_int_and_float_dimensions_apart():
     volume_csv(volumes, fh)
     orientations = [row["orientation"] for row in csv.DictReader(io.StringIO(fh.getvalue()))]
     assert orientations == ["400.0x300.0x200.0", "400x300x200"] * 2 + ["200.0x400.0x300.0", "200x400x300"] * 2
+
+
+def test_carton_fit_remembers_every_format_of_a_wide_catalog():
+    _carton_fit.cache_clear()
+    for _ in range(2):
+        for side in range(100, 400):
+            _carton_fit(side, 200, 100, DEFAULT_PALLET)
+    assert _carton_fit.cache_info().misses == 300
 
 
 def test_volumetric_plan_matches_a_direct_fit_for_every_bundled_entry(bundled_paths):
