@@ -9,6 +9,7 @@ Class A is the strategic sample everything downstream focuses on.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .dimensioning import _decimal_ratio, _exact
@@ -123,7 +124,8 @@ def rank_and_cut(
             raise ValueError(f"{item.product_id}: score must be finite and >= 0, got {item.score}")
 
     ordered = sorted(scored, key=lambda s: (-s.score, -s.revenue, s.product_id))
-    total = sum(s.score for s in ordered)
+    cumulative = list(accumulate(s.score for s in ordered))  # left to right, as `sum` added before Python 3.12
+    total = cumulative[-1]  # so the last cumulative_share is 1.0
     if total == 0:
         raise ValueError("no discriminating criterion: every product scored 0")
     # The class is chosen exactly: each score and threshold is the decimal
@@ -140,9 +142,8 @@ def rank_and_cut(
     )
 
     results = []
-    running = 0.0
     before = 0
-    for rank, (item, unit) in enumerate(zip(ordered, units), start=1):
+    for rank, (item, unit, running) in enumerate(zip(ordered, units, cumulative), start=1):
         # The class of an item depends on the share accumulated *before* it:
         # the item that first pushes the share past a threshold still
         # belongs to the class below that threshold (minimal-prefix rule).
@@ -153,7 +154,6 @@ def rank_and_cut(
         else:
             abc = "C"
         before += unit
-        running += item.score
         results.append(
             ClassificationResult(
                 product_id=item.product_id,

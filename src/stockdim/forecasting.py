@@ -17,6 +17,8 @@ forecast therefore reproduces the actuals with zero error.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .ingestion import MonthlySeries, annual_total
@@ -91,12 +93,12 @@ def forecast_year(series: MonthlySeries, year: int) -> tuple:
 
 
 def _mae(forecast_values, actual) -> float:
-    return sum(abs(f - a) for f, a in zip(forecast_values, actual)) / 12
+    return reduce(add, (abs(f - a) for f, a in zip(forecast_values, actual)), 0) / 12  # left to right, as `sum` added before 3.12
 
 
 def _mape(forecast_values, actual) -> float:
     terms = [abs(f - a) / a for f, a in zip(forecast_values, actual) if a > 0]
-    return sum(terms) / len(terms)
+    return reduce(add, terms, 0) / len(terms)
 
 
 def backtest(series: MonthlySeries, holdout_year: int) -> BacktestReport:

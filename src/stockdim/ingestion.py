@@ -13,9 +13,9 @@ The delivery file is read in pieces of about `_CHUNK` bytes cut at line
 ends; a lone CR ends a line, as csv reads it. If every piece is plain (its
 lines, blank ones left out, hold three cells each, with no line end in a
 cell and a `"` only at both ends of a quoted one; ids cataloged once
-unquoted and stripped, dates in the window, quantities >= 0), each is
-checked whole and added at once (`_fold_texts`). Otherwise a csv reader
-folds the whole file by rows (`_fold_rows`), naming each fault.
+unquoted and stripped, dates in the window, quantities 0..`MAX_QUANTITY`),
+each is checked whole and added at once (`_fold_texts`). Otherwise a csv
+reader folds the whole file by rows (`_fold_rows`), naming each fault.
 
 On a file of `SPLIT_FLOOR` bytes or more, the lines before `_split_point`
 and the rest fold apart (`forking._in_two`, which decides whether a
@@ -53,6 +53,7 @@ CATALOG_HEADER = (
 )
 STOCK_HEADER = ("product_id", "on_hand")
 _INTEGER = re.compile("-?[0-9]+")  # ASCII only: int() also reads other digits, `_`, `+` and spaces
+MAX_QUANTITY = 2**53  # every integer up to it is a float, and no window total of such nears the float range
 
 
 class InputError(ValueError):
@@ -148,7 +149,7 @@ def _parse_year_month(text: str):
     return year, month
 
 
-def _parse_int(text: str, minimum: int, what: str) -> int:
+def _parse_int(text: str, minimum: int, what: str, maximum=math.inf) -> int:
     try:
         if not _INTEGER.fullmatch(text.strip()):
             raise ValueError
@@ -157,6 +158,8 @@ def _parse_int(text: str, minimum: int, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
     if value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {text!r}")
+    if value > maximum:
+        raise ValueError(f"{what} must be <= {maximum}, got {text!r}")
     return value
 
 
@@ -300,7 +303,7 @@ def _fold_rows(rows, path, offsets, start_year, n_years):
     for line_no, (key, date_text, qty_text) in _cells(rows, path, 3, shape, bad):
         try:
             year, month = _parse_year_month(date_text)
-            quantity = _parse_int(qty_text, 0, "quantity")
+            quantity = _parse_int(qty_text, 0, "quantity", MAX_QUANTITY)
         except ValueError as exc:
             bad.append(f"{path}:{line_no}: {exc}")
             continue
@@ -339,7 +342,7 @@ def _fold_texts(texts, offsets, start_year, n_years):
                 raise ValueError("not plain lines of three fields")
             ids.update((cell, offsets[_plain(cell).strip()]) for cell in set(pids) - ids.keys())
             months.update((cell, window[_parse_year_month(_plain(cell))]) for cell in set(dates) - months.keys())
-            quantities.update((cell, _parse_int(_plain(cell.removesuffix("\n")), 0, "quantity"))
+            quantities.update((cell, _parse_int(_plain(cell.removesuffix("\n")), 0, "quantity", MAX_QUANTITY))
                               for cell in set(counts) - quantities.keys())
         except (ValueError, KeyError):
             for _ in texts:  # decode the rest, so that a byte that is not UTF-8 there is named first

@@ -15,21 +15,19 @@ made first, so only a crash between two renames can leave the set mixed.
 Rows are emitted in product_id order (classification in rank order).
 Each CSV row is one f-string, whose `{x}` writes a value as `csv.writer`
 would: a float as its shortest round-trip repr, anything else as `str`.
-That makes two runs over identical inputs byte-identical. Only a product
-id can need quoting. An id holding a comma, a double quote, CR or LF is
-written by `csv.writer` itself (`_id_field`); any other id is written
-as it is.
+Float totals add left to right from 0, as `sum` did before Python 3.12.
+So identical inputs give byte-identical files on every Python from 3.10.
+Only a product id can need quoting, by RFC 4180 (`_id_field`).
 """
 
 import contextlib
-import csv
-import io
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -133,22 +131,16 @@ def build_gaps(data: LoadedData, product_ids, config: RunConfig):
         else:
             offers = (float(monthly_need(series, year)),) * 12
         demands = series.year_slice(year)
-        demands, offers = (sum(demands), *demands), (sum(offers), *offers)
+        demands, offers = (sum(demands), *demands), (reduce(add, offers, 0), *offers)
         yield from map(_gap_report, [(pid, period, d, o, d - o, 1.0 if d <= 0 else min(o, d) / d)
                                      for period, d, o in zip(periods, demands, offers)])
 
 
 def _id_field(pid) -> str:
-    """A product id as its CSV field.
-
-    Only an id can need quoting: one holding a comma, quote or line break
-    is written by `csv.writer` itself, so csv's own quoting rule applies.
-    """
+    """A product id as its CSV field: quoted, each `"` doubled, if it holds a comma, `"`, CR or LF."""
     field = str(pid)
     if "," in field or '"' in field or "\r" in field or "\n" in field:
-        fh = io.StringIO()
-        csv.writer(fh, lineterminator="\n").writerow((field,))
-        field = fh.getvalue()[:-1]
+        field = '"' + field.replace('"', '""') + '"'
     return field
 
 
@@ -354,9 +346,9 @@ class PipelineResult:
     def summary(self) -> dict:
         summary = {
             "products_planned": len(self.product_ids),
-            "total_qc_boxes": sum(float(p.order_qty) for p in self.plans),
+            "total_qc_boxes": reduce(add, (float(p.order_qty) for p in self.plans), 0),
             "total_pallets": sum(v.pallets for v in self.volumes),
-            "total_volume_m3": sum(v.total_volume_m3 for v in self.volumes),
+            "total_volume_m3": reduce(add, (v.total_volume_m3 for v in self.volumes), 0),
         }
         for key in ("total_qc_boxes", "total_volume_m3"):  # a sum of finite floats can still overflow
             if not math.isfinite(summary[key]):

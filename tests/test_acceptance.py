@@ -10,7 +10,9 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import add
 from pathlib import Path
 
 from stockdim.classification import ScoredProduct, rank_and_cut
@@ -245,14 +247,14 @@ def test_acceptance_7_end_to_end_determinism_and_fixtures(tmp_path):
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
-    # summary totals equal detail column sums, exactly
+    # summary totals equal detail column sums added left to right, exactly
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     plan_rows = _read_rows(tmp_path / "a" / "plan.csv")
     volume_rows = _read_rows(tmp_path / "a" / "volume.csv")
     assert summary["products_planned"] == len(plan_rows)
-    assert summary["total_qc_boxes"] == sum(float(r["QC"]) for r in plan_rows)
+    assert summary["total_qc_boxes"] == reduce(add, (float(r["QC"]) for r in plan_rows), 0)
     assert summary["total_pallets"] == sum(int(r["pallets"]) for r in volume_rows)
-    assert summary["total_volume_m3"] == sum(float(r["total_volume_m3"]) for r in volume_rows)
+    assert summary["total_volume_m3"] == reduce(add, (float(r["total_volume_m3"]) for r in volume_rows), 0)
 
     # hand-derived chains for the three designated products (run over all
     # products so the fixtures appear regardless of their ABC class)

@@ -125,6 +125,13 @@ def test_ten_equal_scores_cut_at_rank_eight():
     assert [r.abc_class for r in out] == ["A"] * 8 + ["B"] * 2
 
 
+def test_the_last_cumulative_share_is_one_on_every_python():
+    # the total adds left to right, as the running share does; a compensated
+    # sum (the builtin from Python 3.12) would make it 0.9999999999999999
+    out = rank_and_cut([scored(f"P{i}", 0.1) for i in range(10)])
+    assert out[-1].cumulative_share == 1.0
+
+
 def test_zero_total_score_rejected():
     with pytest.raises(ValueError, match="no discriminating criterion"):
         rank_and_cut([scored("A", 0.0), scored("B", 0.0)])

@@ -177,11 +177,11 @@ def test_unpalletizable_product_fails_with_its_name(tmp_path):
 
 
 def test_quoted_product_id_reads_back_from_every_report(tmp_path):
-    ids = ("DG,9", "DG-1")
+    ids = ("DG,9", "DG-1", "DG\rCR")
 
-    def write(name, header, rows):
+    def write(name, header, rows):  # with csv's CRLF terminator, which quotes a lone CR on every Python
         with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
         return str(tmp_path / name)
@@ -193,7 +193,8 @@ def test_quoted_product_id_reads_back_from_every_report(tmp_path):
     catalog = write("catalog.csv", (
         "product_id", "name", "unit_price", "urgency", "boxes_per_carton",
         "carton_l_mm", "carton_w_mm", "carton_h_mm",
-    ), [("DG,9", "Comma, quoted", 2.5, 1, 10, 400, 300, 200), ("DG-1", "Plain", 4.0, 0, 6, 300, 300, 300)])
+    ), [("DG,9", "Comma, quoted", 2.5, 1, 10, 400, 300, 200), ("DG-1", "Plain", 4.0, 0, 6, 300, 300, 300),
+        ("DG\rCR", "Lone CR", 3.0, 0, 12, 350, 250, 200)])
     stock = write("stock.csv", ("product_id", "on_hand"), [(pid, 5) for pid in ids])
     out = tmp_path / "out"
     args = ["--deliveries", deliveries, "--catalog", catalog, "--stock", stock,
@@ -203,7 +204,8 @@ def test_quoted_product_id_reads_back_from_every_report(tmp_path):
         assert result.exit_code == 0, result.output
     for name in ("classification.csv", "forecast.csv", "backtest.csv", "plan.csv", "volume.csv", "gap.csv"):
         assert {row["product_id"] for row in read_rows(out / name)} == set(ids), name
-    assert '"DG,9",' in (out / "gap.csv").read_text(encoding="utf-8")
+    gap = (out / "gap.csv").read_bytes()
+    assert b'"DG,9",' in gap and b'"DG\rCR",' in gap
 
 
 def test_failed_write_keeps_the_previous_outputs(bundled_paths, tmp_path, monkeypatch):
@@ -454,6 +456,25 @@ def test_a_result_too_large_for_a_float_is_one_error_line(command, multiplier, m
     assert last_line(result) == f"Error: {message}"
     assert "Traceback" not in result.output
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {"plan.csv": b"previous\n"}
+
+
+@pytest.mark.parametrize("args", [["classify"], ["forecast"], ["backtest"], ["plan", "--multiplier", "0.5"],
+                                  ["volume"], ["report"]], ids=" ".join)
+def test_a_quantity_too_large_for_a_float_is_named_by_its_line(args, tiny_inputs, tmp_path):
+    write_csv(tiny_inputs["deliveries"], "product_id,date,quantity",
+              [("P1", "2020-01", 10), ("P1", "2021-03", 10**400)])
+    result = invoke([
+        *args, "--all",
+        "--deliveries", str(tiny_inputs["deliveries"]),
+        "--catalog", str(tiny_inputs["catalog"]),
+        "--stock", str(tiny_inputs["stock"]),
+        "--start-year", "2020", "--years", "2",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
+        f"Error: {tiny_inputs['deliveries']}:3: quantity must be <= 9007199254740992, got '{10**400}'"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["volume", "report"])

@@ -105,7 +105,7 @@ def test_unknown_header_is_rejected(tiny_inputs, tmp_path):
         parse_inputs(bad, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
 
 
-@pytest.mark.parametrize("name", ["deliveries", "stock"])
+@pytest.mark.parametrize("name", ["deliveries", "catalog", "stock"])
 def test_a_header_is_read_past_a_byte_order_mark_and_not_past_a_blank_line(name, tiny_inputs, tmp_path):
     paths = dict(tiny_inputs)
     header, _, body = paths[name].read_text(encoding="utf-8").partition("\n")
@@ -118,6 +118,11 @@ def test_a_header_is_read_past_a_byte_order_mark_and_not_past_a_blank_line(name,
     with pytest.raises(InputError) as exc:
         parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
     assert str(exc.value) == f"{paths[name]}:1: expected header {header}, got "
+    for text in ("", "\ufeff"):  # an empty file, and one that holds only a byte order mark
+        paths[name].write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 2)
+        assert str(exc.value) == f"{paths[name]}: file is empty, expected header {header}"
 
 
 def test_delivery_for_uncataloged_product_is_an_error(tiny_inputs, tmp_path):
@@ -319,8 +324,9 @@ def test_every_bad_line_is_reported_in_one_message(tmp_path):
     ("P1,2020 - 01,5", "bad date '2020 - 01', expected YYYY-MM or YYYY-MM-DD"),
     ("P1,2020-01,+5", "quantity must be an integer, got '+5'"),
     ("P1,2020-01-32,5", "bad date '2020-01-32', day must be 1..31"),
+    ("P1,2020-01,9007199254740993", "quantity must be <= 9007199254740992, got '9007199254740993'"),
 ], ids=["underscore-date", "fullwidth-year", "underscore-quantity", "arabic-indic-quantity", "plus-year",
-        "spaced-date", "plus-quantity", "day-32"])
+        "spaced-date", "plus-quantity", "day-32", "quantity-past-2**53"])
 @pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
 def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_cpus, tiny_inputs, tmp_path,
                                                      monkeypatch):
@@ -331,6 +337,14 @@ def test_delivery_numbers_and_dates_are_ascii_digits(row, message, forked, two_c
     with pytest.raises(InputError) as exc:
         parse_inputs(path, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2)
     assert str(exc.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["split", "one-process"])
+def test_a_quantity_of_2_to_the_53_is_read(forked, two_cpus, tiny_inputs, tmp_path, monkeypatch):
+    # 2**53 is the largest quantity read: every integer up to it is a float
+    monkeypatch.setattr(ingestion, "SPLIT_FLOOR", 0 if forked else math.inf)
+    path = write_deliveries(tmp_path / "deliveries.csv", "P1,2020-01,9007199254740992\n")
+    assert parse_inputs(path, tiny_inputs["catalog"], tiny_inputs["stock"], 2020, 2).series["P1"].values[0] == 2**53
 
 
 @pytest.mark.parametrize("name, row, message", [

@@ -4,7 +4,10 @@ import json
 import math
 import os
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -161,9 +164,9 @@ def test_summary_totals_match_detail_columns(bundled_paths, tmp_path):
     plan_rows = read_rows(out / "plan.csv")
     volume_rows = read_rows(out / "volume.csv")
     assert summary["products_planned"] == len(plan_rows)
-    assert summary["total_qc_boxes"] == sum(float(r["QC"]) for r in plan_rows)
+    assert summary["total_qc_boxes"] == reduce(add, (float(r["QC"]) for r in plan_rows), 0)
     assert summary["total_pallets"] == sum(int(r["pallets"]) for r in volume_rows)
-    assert summary["total_volume_m3"] == sum(float(r["total_volume_m3"]) for r in volume_rows)
+    assert summary["total_volume_m3"] == reduce(add, (float(r["total_volume_m3"]) for r in volume_rows), 0)
 
 
 def test_default_mode_is_the_class_a_subset_of_all(bundled_paths, tmp_path):
@@ -205,7 +208,7 @@ def test_gap_csv_and_backtest_csv_agree_on_every_bundled_product(bundled_paths, 
     mae_seasonal = {r["product_id"]: float(r["mae_seasonal"]) for r in read_rows(tmp_path / BACKTEST_CSV)}
     assert len(mae_seasonal) == 50
     assert all(len(gaps) == 12 for gaps in monthly_gaps.values())
-    assert {pid: sum(gaps) / 12 for pid, gaps in monthly_gaps.items()} == mae_seasonal
+    assert {pid: reduce(add, gaps, 0) / 12 for pid, gaps in monthly_gaps.items()} == mae_seasonal
 
 
 @given(st.integers(3, 5).flatmap(
@@ -219,7 +222,7 @@ def test_mean_monthly_gap_is_the_seasonal_backtest_mae(values):
     annual, *months = build_gaps(data, ["P"], config)
     assert [g.period for g in months] == [f"{series.end_year}-{m:02d}" for m in range(1, 13)]
     report = backtest(series, series.end_year)
-    assert sum(abs(g.gap) for g in months) / 12 == report.mae_seasonal
+    assert reduce(add, (abs(g.gap) for g in months), 0) / 12 == report.mae_seasonal
 
 
 def old_gap_row(pid, period, demand, offered):
@@ -247,7 +250,7 @@ def test_gap_rows_are_the_old_gap_row_of_each_period(histories):
         else:
             offers = (float(monthly_need(series[pid], year)),) * 12
         demands = series[pid].year_slice(year)
-        expected.append(old_gap_row(pid, str(year), sum(demands), sum(offers)))
+        expected.append(old_gap_row(pid, str(year), sum(demands), reduce(add, offers, 0)))
         expected.extend(old_gap_row(pid, f"{year}-{m:02d}", d, o) for m, d, o in zip(range(1, 13), demands, offers))
     data = LoadedData(catalog={}, series=series, on_hand={})
     rows = list(build_gaps(data, reversed(list(series)), config))
@@ -267,7 +270,7 @@ def test_gap_offer_with_fewer_than_two_earlier_years_is_the_prior_year_over_12(t
         annual, *months = [r for r in rows if r["product_id"] == pid]
         assert annual["period"] == "2021" and len(months) == 12
         assert [float(m["offered"]) for m in months] == [prior_total / 12] * 12
-        assert float(annual["offered"]) == sum(float(m["offered"]) for m in months)
+        assert float(annual["offered"]) == reduce(add, (float(m["offered"]) for m in months), 0)
 
 
 def test_streamed_stages_can_be_read_twice(bundled_paths, tmp_path):
@@ -360,11 +363,16 @@ def _tricky(i):
 
 
 def _csv_writer_text(header, rows):
-    fh = io.StringIO()
-    writer = csv.writer(fh, lineterminator="\n")
+    """The rows as csv.writer writes them with its own CRLF terminator, each row end cut to LF.
+
+    That terminator makes csv.writer quote a lone CR as it quotes an LF on every
+    Python; a `lineterminator="\\n"` writer leaves a lone CR unquoted before 3.13.
+    """
+    lines = []  # csv.writer calls `write` once per row
+    writer = csv.writer(SimpleNamespace(write=lines.append))
     writer.writerow(header)
     writer.writerows(rows)
-    return fh.getvalue()
+    return "".join(line.removesuffix("\r\n") + "\n" for line in lines)
 
 
 def _render_case(name):
