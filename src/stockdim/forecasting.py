@@ -1,24 +1,26 @@
 """Monthly demand forecasting: baseline need, seasonal forecast, backtests.
 
-`forecast_year(series, year)` forecasts one year from the years before
-it, with no lookahead. The baseline monthly need is the total T of year
-`year - 1` over twelve, and the naive forecast repeats it. The seasonal
-forecast spreads the same annual quantity T by month weight: w_m sums
-month m over every year before `year`, and month m gets T * w_m / sum(w),
-the need T / 12 times the seasonal index 12 * w_m / sum(w). Year
-`year - 1` is one of the summed years, so where every w_m is 0, T is 0
-and so is every month.
+`forecast_columns(series, year)` forecasts one year, with no lookahead,
+for a block of series of one window laid end to end: month m of year y
+is the strided column `values[12 * y + m :: width]`, and every sum adds
+columns element-wise, left to right from 0 (`column_sums`). The naive
+forecast repeats T / 12, for the total T of year `year - 1`. The
+seasonal forecast spreads T by month weight: w_m sums month m over every
+year before `year`, and month m gets T * w_m / sum(w). Year `year - 1`
+is one of the summed years, so where every w_m is 0, T is 0 and so is
+every month. `forecast_year`, `backtest` and `report` are all views of
+this one rule, for one series or a block at a time.
 
 Both are exact by construction, in integers rather than `Fraction`
-objects: each seasonal value, T * w_m / sum(w), is one correctly
-rounded int/int division, the float nearest the exact value, as
-`float(Fraction(...))` gives. On perfectly periodic demand the seasonal
-forecast therefore reproduces the actuals with zero error.
+objects: each value is one correctly rounded int/int division, the
+float `float(Fraction(...))` gives. On perfectly periodic demand the
+seasonal forecast therefore reproduces the actuals with zero error.
 """
 
 from fractions import Fraction
-from functools import reduce
-from operator import add
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .ingestion import MonthlySeries, annual_total
@@ -73,61 +75,72 @@ def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
     return Fraction(_prior_total(series, target_year), 12)
 
 
-def forecast_year(series: MonthlySeries, year: int) -> tuple:
-    """The naive and the seasonal forecast of `year`, with no lookahead.
+def column_sums(columns) -> list:
+    """The element-wise sums of one or more equal columns, each added left to right from 0."""
+    return [*reduce(partial(map, add), columns, repeat(0))]
 
-    The naive row repeats one float object, T / 12 for the total T of
-    `year - 1`. Month m of the seasonal row is T * w_m / sum(w), with w
-    the month sums over the `MIN_FIT_YEARS` or more years before `year`.
+
+def forecast_columns(series, year: int, flat_offer=False) -> tuple:
+    """The forecasts of `year` for a block of series of one window: `(actual, naive, seasonal)` columns.
+
+    `actual` holds `year`'s 12 month columns (none past the window),
+    `naive` T / 12 per series, and `seasonal` 12 month columns, fit on
+    `MIN_FIT_YEARS` or more earlier years; with `flat_offer`, fewer
+    years give `naive` in every month instead of an error.
     """
-    total, fit_years = _prior_total(series, year), year - series.start_year
+    first = series[0]
+    width, fit_years = len(first.values), year - first.start_year
+    if any(s.start_year != first.start_year or len(s.values) != width for s in series):
+        raise ValueError(f"{first.product_id}: a block's series must cover one window")
+    _prior_total(first, year)  # names an uncovered year - 1
+    flat = [*chain.from_iterable(s.values for s in series)]
+    columns = [flat[slot::width] for slot in range(min(width, 12 * fit_years + 12))]
+    totals = column_sums(columns[12 * fit_years - 12 : 12 * fit_years])
+    naive = [*map(truediv, totals, repeat(12))]
+    if fit_years >= MIN_FIT_YEARS:
+        weights = [column_sums(columns[m : 12 * fit_years : 12]) for m in range(12)]
+        dens = [den or 1 for den in column_sums(weights)]  # all zero only where T, a summed year, is 0
+        seasonal = [[*map(truediv, map(mul, totals, w), dens)] for w in weights]
+    elif flat_offer:
+        seasonal = [naive] * 12
+    else:
+        raise ValueError(f"{first.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
+                         f"seasonal indices, got {fit_years}")
+    return columns[12 * fit_years :], naive, seasonal
+
+
+def forecast_year(series: MonthlySeries, year: int) -> tuple:
+    """The naive and the seasonal `ForecastResult` of `year`, with no lookahead: `forecast_columns` of one series."""
+    _, (naive,), seasonal = forecast_columns([series], year)
+    return (ForecastResult(series.product_id, METHOD_NAIVE, (naive,) * 12),  # one float object, repeated
+            ForecastResult(series.product_id, METHOD_SEASONAL, tuple(chain.from_iterable(seasonal))))
+
+
+def backtests(series, holdout_year: int) -> list:
+    """Score both forecast methods of `forecast_columns` against one held-out year, per series of a block.
+
+    The holdout year must be covered and have `MIN_FIT_YEARS` years before it. MAE sums |f - a|
+    over the 12 months, MAPE |f - a| / a over the months with a > 0, each left to right from 0.
+    """
+    first, fit_years = series[0], holdout_year - series[0].start_year
+    if not first.covers(holdout_year):
+        raise ValueError(f"{first.product_id}: holdout year {holdout_year} not covered "
+                         f"by the series ({first.start_year}..{first.end_year})")
     if fit_years < MIN_FIT_YEARS:
-        raise ValueError(
-            f"{series.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
-            f"seasonal indices, got {fit_years}"
-        )
-    weights = [*map(sum, zip(*[series.values[lo : lo + 12] for lo in range(0, 12 * fit_years, 12)]))]
-    den = sum(weights) or 1  # all zero only where T, a summed year, is 0: every month is 0.0
-    return (ForecastResult(series.product_id, METHOD_NAIVE, (total / 12,) * 12),
-            ForecastResult(series.product_id, METHOD_SEASONAL, tuple([total * w / den for w in weights])))
+        raise ValueError(f"{first.product_id}: backtesting {holdout_year} needs at least "
+                         f"{MIN_FIT_YEARS} years strictly before it, got {fit_years}")
+    actual, naive, seasonal = forecast_columns(series, holdout_year)
+    counts = column_sums([[a > 0 for a in column] for column in actual])
 
-
-def _mae(forecast_values, actual) -> float:
-    return reduce(add, (abs(f - a) for f, a in zip(forecast_values, actual)), 0) / 12  # left to right, as `sum` added before 3.12
-
-
-def _mape(forecast_values, actual) -> float:
-    terms = [abs(f - a) / a for f, a in zip(forecast_values, actual) if a > 0]
-    return reduce(add, terms, 0) / len(terms)
+    def scores(forecast):  # the MAE and the MAPE column of one method
+        errors = [[*map(abs, map(sub, f, a))] for f, a in zip(forecast, actual)]
+        shares = column_sums([[e / a if a > 0 else 0 for e, a in zip(*pair)] for pair in zip(errors, actual)])
+        return [*map(truediv, column_sums(errors), repeat(12))], [s / n if n else 0.0 for s, n in zip(shares, counts)]
+    (mae_naive, mape_naive), (mae_seasonal, mape_seasonal) = scores([naive] * 12), scores(seasonal)
+    return [*map(BacktestReport, [s.product_id for s in series], repeat(holdout_year), mae_naive, mae_seasonal,
+                 mape_naive, mape_seasonal, [n == 0 for n in counts])]
 
 
 def backtest(series: MonthlySeries, holdout_year: int) -> BacktestReport:
-    """Score both forecast methods of `forecast_year` against one held-out year.
-
-    The holdout year must be covered and have at least `MIN_FIT_YEARS`
-    years before it; it never leaks into its own forecast.
-    """
-    if not series.covers(holdout_year):
-        raise ValueError(
-            f"{series.product_id}: holdout year {holdout_year} not covered "
-            f"by the series ({series.start_year}..{series.end_year})"
-        )
-    fit_years = holdout_year - series.start_year
-    if fit_years < MIN_FIT_YEARS:
-        raise ValueError(
-            f"{series.product_id}: backtesting {holdout_year} needs at least "
-            f"{MIN_FIT_YEARS} years strictly before it, got {fit_years}"
-        )
-    naive, seasonal = forecast_year(series, holdout_year)
-    actual = series.year_slice(holdout_year)
-
-    no_actuals = all(a == 0 for a in actual)
-    return BacktestReport(
-        product_id=series.product_id,
-        holdout_year=holdout_year,
-        mae_naive=_mae(naive.monthly_values, actual),
-        mae_seasonal=_mae(seasonal.monthly_values, actual),
-        mape_naive=0.0 if no_actuals else _mape(naive.monthly_values, actual),
-        mape_seasonal=0.0 if no_actuals else _mape(seasonal.monthly_values, actual),
-        no_nonzero_actuals=no_actuals,
-    )
+    """`backtests` of one series."""
+    return backtests([series], holdout_year)[0]

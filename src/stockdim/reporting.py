@@ -2,18 +2,19 @@
 
 The pipeline is defined once, as the stages of `PipelineResult`. Most
 are computed once, on first use; `forecasts` and `gaps`, each read by
-one file only, are iterators computed as that file is written, anew on
-each read; a check on their rows raises only when they are iterated.
-`run_pipeline` reads only the stages behind the requested files
-(`ARTIFACTS`), for the strategic (class A) subset by default or for
-every product with `include_all`. `write_reports` streams each file into
-a temporary directory inside the output directory and moves each into
-place with `os.replace`. A failed run keeps the previous files and
-removes every directory it created. The commit is one rename per file;
-a failed rename puts back the files replaced before it from hard links
-made first, so only a crash between two renames can leave the set mixed.
-Rows are emitted in product_id order (classification in rank order).
-Each CSV row is one f-string, whose `{x}` writes a value as `csv.writer`
+one file only, are iterators of `BLOCK`-product column blocks computed
+as that file is written, anew on each read; a check on their values
+raises only when they are iterated. `run_pipeline` reads only the
+stages behind the requested files (`ARTIFACTS`), for the strategic
+(class A) subset by default or for every product with `include_all`.
+`write_reports` streams each file into a temporary directory inside the
+output directory and moves each into place with `os.replace`. A failed
+run keeps the previous files and removes every directory it created.
+The commit is one rename per file; a failed rename puts back the files
+replaced before it from hard links made first, so only a crash between
+two renames can leave the set mixed. Rows are emitted in product_id
+order (classification in rank order). A row is one f-string, or for a
+block one `%` template per product, which write a value as `csv.writer`
 would: a float as its shortest round-trip repr, anything else as `str`.
 Float totals add left to right from 0, as `sum` did before Python 3.12.
 So identical inputs give byte-identical files on every Python from 3.10.
@@ -27,7 +28,8 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from operator import add
+from itertools import chain, repeat
+from operator import add, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +42,7 @@ from .classification import (
     score_products,
 )
 from .dimensioning import DEFAULT_STOCK_MONTHS, plan_products
-from .forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
+from .forecasting import backtests, column_sums, forecast_columns, monthly_need
 from .forking import _in_two
 from .ingestion import LoadedData, parse_inputs
 from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
@@ -53,6 +55,7 @@ VOLUME_CSV = "volume.csv"
 GAP_CSV = "gap.csv"
 SUMMARY_JSON = "summary.json"
 REPORT = (CLASSIFICATION_CSV, FORECAST_CSV, PLAN_CSV, VOLUME_CSV, GAP_CSV, SUMMARY_JSON)
+BLOCK = 512  # products per columnar pass: long columns for `map`, while a block's rows stay small
 
 
 class GapReport(NamedTuple):
@@ -115,25 +118,37 @@ def load_inputs(config: RunConfig) -> LoadedData:
     return parse_inputs(config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
 
 
-def build_gaps(data: LoadedData, product_ids, config: RunConfig):
-    """Yield gap KPI rows for the last history year, annual then monthly.
+def _blocks(data: LoadedData, product_ids):
+    """The series of `product_ids`, in id order, `BLOCK` at a time."""
+    ids = sorted(product_ids)
+    for lo in range(0, len(ids), BLOCK):
+        yield [data.series[pid] for pid in ids[lo : lo + BLOCK]]
 
-    The offer is what the planning method would have put on the table
-    for that year with no lookahead: the seasonal `forecast_year` when
-    at least `MIN_FIT_YEARS` earlier years exist, the flat baseline otherwise.
+
+def gap_blocks(data: LoadedData, product_ids, config: RunConfig):
+    """Yield the gap KPI of the last history year as `(periods, ids, demand, offered, gap, rate)` blocks.
+
+    The last four hold a column over `ids` per period, the year (its
+    months added left to right from 0) then its months. The offer is
+    what the planning method would have put on the table for that year
+    with no lookahead: `forecast_columns`, seasonal where `MIN_FIT_YEARS`
+    earlier years exist, flat otherwise. A rate is `min(o, d) / d`, or 1.0 where d is 0.
     """
     year = config.last_history_year
     periods = (str(year), *(f"{year}-{month:02d}" for month in range(1, 13)))
-    for pid in sorted(product_ids):
-        series = data.series[pid]
-        if year - series.start_year >= MIN_FIT_YEARS:
-            offers = forecast_year(series, year)[1].monthly_values
-        else:
-            offers = (float(monthly_need(series, year)),) * 12
-        demands = series.year_slice(year)
-        demands, offers = (sum(demands), *demands), (reduce(add, offers, 0), *offers)
-        yield from map(_gap_report, [(pid, period, d, o, d - o, 1.0 if d <= 0 else min(o, d) / d)
-                                     for period, d, o in zip(periods, demands, offers)])
+    for series in _blocks(data, product_ids):
+        demand, _, offered = forecast_columns(series, year, flat_offer=True)
+        demand, offered = [column_sums(demand), *demand], [column_sums(offered), *offered]
+        yield (periods, [s.product_id for s in series], demand, offered,
+               [[*map(sub, d, o)] for d, o in zip(demand, offered)],
+               [[o / d if o < d else 1.0 for o, d in zip(os, ds)] for ds, os in zip(demand, offered)])
+
+
+def build_gaps(data: LoadedData, product_ids, config: RunConfig):
+    """Yield one `GapReport` per product and period of `gap_blocks`, annual then monthly."""
+    for periods, ids, *fields in gap_blocks(data, product_ids, config):
+        for pid, *values in zip(ids, *(zip(*field) for field in fields)):
+            yield from map(_gap_report, zip(repeat(pid), periods, *values))
 
 
 def _id_field(pid) -> str:
@@ -153,11 +168,13 @@ def classification_csv(results, fh):
     )
 
 
-def forecast_csv(forecasts, fh):
+def forecast_csv(blocks, fh):
+    """Render `(ids, naive, seasonal)` blocks, a naive row (its one value formatted once) then a seasonal row."""
     fh.write("product_id,method," + ",".join(f"m{i}" for i in range(1, 13)) + "\n")
-    fh.writelines(
-        f"{_id_field(pid)},{method},{','.join(map(str, values))}\n" for pid, method, values in forecasts
-    )
+    row = "%s,naive," + ",".join(["%s"] * 12) + "\n%s,seasonal," + ",".join(["%r"] * 12) + "\n"
+    for ids, naive, seasonal in blocks:
+        ids = [*map(_id_field, ids)]
+        fh.writelines(map(row.__mod__, zip(ids, *[[*map(repr, naive)]] * 12, ids, *seasonal)))
 
 
 def backtest_csv(reports, fh):
@@ -187,11 +204,14 @@ def volume_csv(volumes, fh):
     )
 
 
-def gap_csv(gaps, fh):
+def gap_csv(blocks, fh):
+    """Render `gap_blocks`, a row template per block holding its 13 periods, each id field made once."""
     fh.write("product_id,period,demand,offered,gap,service_rate\n")
-    fh.writelines(
-        f"{_id_field(pid)},{period},{d},{o},{gap},{rate}\n" for pid, period, d, o, gap, rate in gaps
-    )
+    for periods, ids, demand, offered, gap, rate in blocks:
+        rows = "".join(f"%s,{period},%r,%r,%r,%s\n" for period in periods)
+        rate = [["1.0" if r == 1 else repr(r) for r in column] for column in rate]  # most rates are exactly 1
+        columns = chain.from_iterable(zip(repeat([*map(_id_field, ids)]), demand, offered, gap, rate))
+        fh.writelines(map(rows.__mod__, zip(*columns)))
 
 
 def _summary_json(summary, fh):
@@ -303,17 +323,14 @@ class PipelineResult:
 
     @property
     def forecasts(self):
-        """Naive then seasonal row per product, fit on all years before the target.
-
-        Unlike the cached stages, a fresh iterator on each read, which
-        raises only when it is iterated.
-        """
-        for pid in self.product_ids:
-            yield from forecast_year(self.data.series[pid], self.config.target_year)
+        """`forecast_columns` blocks `(ids, naive, seasonal)` of the target year, a fresh iterator on each read."""
+        for series in _blocks(self.data, self.product_ids):
+            yield [s.product_id for s in series], *forecast_columns(series, self.config.target_year)[1:]
 
     @cached_property
     def backtests(self):
-        return [backtest(self.data.series[pid], self.holdout_year) for pid in self.product_ids]
+        blocks = _blocks(self.data, self.product_ids)
+        return [*chain.from_iterable(backtests(series, self.holdout_year) for series in blocks)]
 
     @cached_property
     def plans(self):
@@ -339,8 +356,8 @@ class PipelineResult:
 
     @property
     def gaps(self):
-        """`build_gaps` rows, a fresh iterator on each read like `forecasts`."""
-        return build_gaps(self.data, self.product_ids, self.config)
+        """`gap_blocks` of the run's products, a fresh iterator on each read like `forecasts`."""
+        return gap_blocks(self.data, self.product_ids, self.config)
 
     @cached_property
     def summary(self) -> dict:

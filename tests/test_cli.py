@@ -238,20 +238,20 @@ def test_failure_while_a_stream_is_written_keeps_the_previous_outputs(bundled_pa
     assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    real_gap_csv, real_forecast = reporting.gap_csv, reporting.forecast_year
+    real_gap_csv, real_forecast = reporting.gap_csv, reporting.forecast_columns
     writing_gaps = []
 
     def gap_csv(gaps, fh):
         writing_gaps.append(fh.name)
         real_gap_csv(gaps, fh)
 
-    def forecast(*args):
+    def forecast(*args, **kwargs):
         if writing_gaps:
             raise ValueError("forecast failed mid-stream")
-        return real_forecast(*args)
+        return real_forecast(*args, **kwargs)
 
     monkeypatch.setattr(reporting, "gap_csv", gap_csv)
-    monkeypatch.setattr(reporting, "forecast_year", forecast)
+    monkeypatch.setattr(reporting, "forecast_columns", forecast)
     result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
     monkeypatch.undo()
     assert result.exit_code == 1
@@ -499,9 +499,12 @@ def test_a_volume_too_large_for_a_float_is_one_error_line(command, tiny_inputs, 
 
 
 @pytest.mark.parametrize("args, unused", [
-    (["classify"], ("monthly_need", "plan_products", "build_gaps", "backtest")),
+    (["classify"], ("monthly_need", "plan_products", "build_gaps", "backtests")),
+    (["classify"], ("forecast_columns", "gap_blocks")),
     (["forecast"], ("plan_products", "build_gaps")),
+    (["forecast"], ("gap_blocks", "backtests")),
     (["backtest"], ("plan_products", "build_gaps")),
+    (["backtest"], ("gap_blocks",)),
     (["plan"], ("volumetric_plan",)),
     (["plan", "--all"], ("rank_and_cut",)),
 ], ids=" ".join)
@@ -521,14 +524,14 @@ def test_failure_in_the_writer_child_keeps_the_previous_outputs(bundled_paths, t
     assert invoke(["report"] + base_args(bundled_paths, out)).exit_code == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    real_forecast, parent = reporting.forecast_year, os.getpid()
+    real_forecast, parent = reporting.forecast_columns, os.getpid()
 
-    def forecast(*args):  # forecast.csv is rendered by the writer child
+    def forecast(*args, **kwargs):  # forecast.csv is rendered by the writer child
         if os.getpid() != parent:
             raise ValueError("forecast failed in the writer")
-        return real_forecast(*args)
+        return real_forecast(*args, **kwargs)
 
-    monkeypatch.setattr(reporting, "forecast_year", forecast)
+    monkeypatch.setattr(reporting, "forecast_columns", forecast)
     result = invoke(["report", "--multiplier", "6"] + base_args(bundled_paths, out))
     monkeypatch.undo()
     assert result.exit_code == 1

@@ -1,0 +1,60 @@
+"""The reports are byte-identical on every installed Python from 3.10 to 3.13.
+
+Each interpreter runs `run_pipeline` in a subprocess, without click, on
+the bundled data. Interpreters are looked up among pyenv's versions
+(`$PYENV_ROOT`, by default `~/.pyenv`).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from stockdim.reporting import BACKTEST_CSV, REPORT, RunConfig, run_pipeline
+
+data, hashes = Path(sys.argv[1]), {}
+for label, artifacts, include_all in (("report", REPORT, False), ("report --all", REPORT, True),
+                                      ("backtest --all", (BACKTEST_CSV,), True)):
+    with tempfile.TemporaryDirectory() as out:
+        config = RunConfig(data / "deliveries.csv", data / "catalog.csv", data / "stock.csv", Path(out),
+                           2019, 3, 2022, include_all=include_all)
+        run_pipeline(config, artifacts)
+        for name in artifacts:
+            hashes[f"{label}: {name}"] = hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+assert "click" not in sys.modules
+print(json.dumps(hashes))
+"""
+
+
+def other_pythons():
+    """Each pyenv Python 3.10 to 3.13 that is not the one running the tests."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    this = Path(sys.executable).resolve()
+    return [python for python in sorted(versions.glob("3.1[0-3]*/bin/python3"))
+            if python.resolve() != this and python.is_file()]
+
+
+def report_hashes(python):
+    done = subprocess.run(
+        [str(python), "-c", RUN, str(ROOT / "data")], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert done.returncode == 0, f"{python}: {done.stderr}"
+    return json.loads(done.stdout)
+
+
+def test_every_python_from_3_10_writes_the_same_bytes():
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other Python 3.10 to 3.13 found: no file was compared")
+    expected = report_hashes(sys.executable)
+    assert len(expected) == 13
+    for python in pythons:
+        assert report_hashes(python) == expected, python

@@ -10,6 +10,8 @@ from stockdim.forecasting import (
     METHOD_SEASONAL,
     MIN_FIT_YEARS,
     backtest,
+    backtests,
+    forecast_columns,
     forecast_year,
     monthly_need,
 )
@@ -154,6 +156,18 @@ def test_forecast_year_names_too_little_history_and_an_uncovered_prior_year():
             with pytest.raises(ValueError) as raised:
                 call(years(DEC_PEAK, 2), year)
             assert str(raised.value) == uncovered
+
+
+def test_a_block_is_one_window_and_names_its_first_product():
+    block = [years(DEC_PEAK, 3), MonthlySeries("Q", 2019, (1,) * 24)]
+    with pytest.raises(ValueError) as raised:
+        forecast_columns(block, 2021)
+    assert str(raised.value) == "P: a block's series must cover one window"
+    block = [MonthlySeries("A", 2019, DEC_PEAK * 3), MonthlySeries("B", 2018, DEC_PEAK * 4)]  # both end in 2021
+    with pytest.raises(ValueError, match="^A: a block's series must cover one window$"):
+        backtests(block, 2021)
+    with pytest.raises(ValueError, match="^A: need at least 2 full years"):
+        forecast_columns([MonthlySeries("A", 2019, DEC_PEAK * 2), MonthlySeries("B", 2019, (0,) * 24)], 2020)
 
 
 def test_backtest_periodic_series_seasonal_is_exact():

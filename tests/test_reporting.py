@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -27,6 +28,7 @@ from stockdim.forking import _can_fork
 from stockdim.ingestion import InputError, MonthlySeries
 from stockdim.reporting import (
     BACKTEST_CSV,
+    BLOCK,
     GAP_CSV,
     GapReport,
     LoadedData,
@@ -36,6 +38,7 @@ from stockdim.reporting import (
     build_gaps,
     classification_csv,
     forecast_csv,
+    gap_blocks,
     gap_csv,
     plan_csv,
     run_pipeline,
@@ -194,7 +197,7 @@ def test_gap_rows_cover_annual_and_monthly_granularity(bundled_paths, tmp_path):
     assert "2021" in periods and "2021-01" in periods and "2021-12" in periods
     n_products = len({r["product_id"] for r in rows})
     assert len(rows) == 13 * n_products
-    for g in result.gaps:
+    for g in build_gaps(result.data, result.product_ids, result.config):
         assert g.gap == g.demand - g.offered
         assert 0.0 <= g.service_rate <= 1.0
 
@@ -231,14 +234,25 @@ def old_gap_row(pid, period, demand, offered):
 
 
 MONTHS_OF_DEMAND = st.lists(st.integers(0, 10**6) | st.just(0), min_size=12, max_size=12)
+_EDGES = random.Random(26)
+
+
+def _edge_histories(n_products, n_years):
+    """`n_products` deterministic histories, sparse and some all zero, to cross block edges."""
+    return [[_EDGES.randrange(1, 900) if i % 7 and _EDGES.random() < 0.5 else 0 for _ in range(12 * n_years)]
+            for i in range(n_products)]
 
 
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(
     st.lists(MONTHS_OF_DEMAND | st.just([0] * 12), min_size=n, max_size=n).map(lambda ys: sum(ys, [])),
     min_size=1, max_size=4,
 )))
+@example(_edge_histories(2 * BLOCK + 3, 3))  # seasonal offers, three blocks, the last not full
+@example(_edge_histories(BLOCK + 1, 2))  # flat offers, one product past a full block
 def test_gap_rows_are_the_old_gap_row_of_each_period(histories):
-    series = {f"P{i}": MonthlySeries(f"P{i}", 2019, tuple(values)) for i, values in enumerate(histories)}
+    # every odd id needs RFC 4180 quoting, so one stands on each side of some block edge
+    ids = [f"P{i:05d}" + (',"' if i % 2 else "") for i in range(len(histories))]
+    series = {pid: MonthlySeries(pid, 2019, tuple(values)) for pid, values in zip(ids, histories)}
     n_years = len(histories[0]) // 12
     year = 2019 + n_years - 1
     config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
@@ -256,6 +270,9 @@ def test_gap_rows_are_the_old_gap_row_of_each_period(histories):
     rows = list(build_gaps(data, reversed(list(series)), config))
     assert rows == expected
     assert {type(row) for row in rows} == {GapReport}
+    fh = io.StringIO()
+    gap_csv(gap_blocks(data, reversed(list(series)), config), fh)
+    assert fh.getvalue() == _csv_writer_text(GapReport._fields, expected)
 
 
 def test_gap_offer_with_fewer_than_two_earlier_years_is_the_prior_year_over_12(tiny_inputs, tmp_path):
@@ -279,8 +296,11 @@ def test_streamed_stages_can_be_read_twice(bundled_paths, tmp_path):
     forecasts = list(result.forecasts)
     assert gaps and gaps == list(result.gaps)
     assert forecasts and forecasts == list(result.forecasts)
-    assert len(gaps) == 13 * len(result.product_ids)
-    assert len(forecasts) == 2 * len(result.product_ids)
+    assert [pid for _, ids, *fields in gaps for pid in ids] == result.product_ids
+    assert {len(column) for _, ids, *fields in gaps for field in fields for column in field} == {len(gaps[0][1])}
+    assert [len(field) for _, _, *fields in gaps for field in fields] == [13] * 4 * len(gaps)
+    assert [pid for ids, naive, seasonal in forecasts for pid in ids] == result.product_ids
+    assert [len(seasonal) for _, _, seasonal in forecasts] == [12] * len(forecasts)
 
 
 def test_empty_deliveries_with_catalog_yields_zero_plans(tmp_path):
@@ -390,10 +410,12 @@ def _render_case(name):
         ]
         return classification_csv, records, _csv_writer_text(header, rows)
     if name == "forecast":
-        records = [ForecastResult(pid, "seasonal", tuple(_tricky(i + k) for k in range(12))) for i, pid in pids]
+        naive = [_tricky(i) for i, _ in pids]
+        seasonal = [[_tricky(i + k) for i, _ in pids] for k in range(12)]
         header = ("product_id", "method") + tuple(f"m{i}" for i in range(1, 13))
-        rows = [(f.product_id, f.method) + f.monthly_values for f in records]
-        return forecast_csv, records, _csv_writer_text(header, rows)
+        rows = [row for i, pid in pids for row in (
+            (pid, "naive", *[naive[i]] * 12), (pid, "seasonal", *(column[i] for column in seasonal)))]
+        return forecast_csv, [([pid for _, pid in pids], naive, seasonal)], _csv_writer_text(header, rows)
     if name == "backtest":
         records = [
             BacktestReport(pid, 2021, _tricky(i), _tricky(i + 1), _tricky(i + 2), _tricky(i + 3), i % 2 == 0)
@@ -423,9 +445,12 @@ def _render_case(name):
             for v in records
         ]
         return volume_csv, records, _csv_writer_text(header, rows)
-    records = [GapReport(pid, "2021-01", i, _tricky(i), _tricky(i + 1), _tricky(i + 2)) for i, pid in pids]
-    header = ("product_id", "period", "demand", "offered", "gap", "service_rate")
-    return gap_csv, records, _csv_writer_text(header, records)
+    fields = [[[(i, _tricky(i + p), _tricky(i + p + 1), _tricky(i + p + 2))[k] for i, _ in pids] for p in range(13)]
+              for k in range(4)]
+    rows = [(pid, period, *(field[p][i] for field in fields))
+            for i, pid in pids for p, period in enumerate(["2021", *(f"2021-{m:02d}" for m in range(1, 13))])]
+    periods = ("2021", *(f"2021-{m:02d}" for m in range(1, 13)))
+    return gap_csv, [(periods, [pid for _, pid in pids], *fields)], _csv_writer_text(GapReport._fields, rows)
 
 
 @pytest.mark.parametrize("name", ["classification", "forecast", "backtest", "plan", "volume", "gap"])
@@ -437,30 +462,35 @@ def test_text_renders_match_csv_writer(name):
     assert '"DG,9"' in expected and '"DG""7"' in expected  # the quoting path is exercised
 
 
-@given(st.lists(st.tuples(
-    st.text(), st.sampled_from(("2021", "2021-12")), st.integers(), st.floats(), st.floats(), st.floats()
-)))
-def test_gap_render_matches_csv_writer_on_any_id_and_float(rows):
+GAP_FIELDS = st.tuples(st.integers(), st.floats(), st.floats(), st.floats())
+
+
+@given(st.integers(1, 9999), st.lists(st.tuples(st.text(), st.lists(GAP_FIELDS, min_size=13, max_size=13))))
+def test_gap_render_matches_csv_writer_on_any_id_and_float(year, products):
+    ids = [pid for pid, _ in products]
+    fields = [[[values[p][k] for _, values in products] for p in range(13)] for k in range(4)]
+    periods = (str(year), *(f"{year}-{m:02d}" for m in range(1, 13)))
     fh = io.StringIO()
-    gap_csv([GapReport(*row) for row in rows], fh)
+    gap_csv([(periods, ids, *fields)], fh)
+    rows = [(pid, period, *row) for pid, values in products for period, row in zip(periods, values)]
     assert fh.getvalue() == _csv_writer_text(GapReport._fields, rows)
 
 
 @given(
     st.text(),
-    st.sampled_from(("naive", "seasonal")),
     st.floats() | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324)),
     st.lists(st.sampled_from((0.0, -0.0)), min_size=12, max_size=12),
     st.lists(st.floats(), min_size=12, max_size=12),
 )
-@example("DG,1", "naive", -0.0, [0.0] * 11 + [-0.0], [math.nan] * 12)
-@example('"', "naive", 5e-324, [-0.0] + [0.0] * 11, [0.0] * 12)
-def test_forecast_render_matches_csv_writer_on_any_id_and_float(pid, method, repeated, zeros, floats):
-    rows = [(pid, method, (repeated,) * 12), (pid, method, tuple(zeros)), (pid, method, tuple(floats))]
-    fh = io.StringIO()
-    forecast_csv([ForecastResult(*row) for row in rows], fh)
+@example("DG,1", -0.0, [0.0] * 11 + [-0.0], [math.nan] * 12)
+@example('"', 5e-324, [-0.0] + [0.0] * 11, [0.0] * 12)
+def test_forecast_render_matches_csv_writer_on_any_id_and_float(pid, repeated, zeros, floats):
+    fh = io.StringIO()  # two products of one id: naive `repeated` then `floats[0]`, seasonal `zeros` then `floats`
+    forecast_csv([([pid, pid], [repeated, floats[0]], [list(pair) for pair in zip(zeros, floats)])], fh)
     header = ("product_id", "method") + tuple(f"m{i}" for i in range(1, 13))
-    assert fh.getvalue() == _csv_writer_text(header, [(pid, method, *values) for pid, method, values in rows])
+    rows = [(pid, "naive", *[repeated] * 12), (pid, "seasonal", *zeros),
+            (pid, "naive", *[floats[0]] * 12), (pid, "seasonal", *floats)]
+    assert fh.getvalue() == _csv_writer_text(header, rows)
 
 
 class TwoArgumentError(ValueError):
