@@ -66,39 +66,29 @@ def _min_max(values):
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def score_products(series_by_product, catalog, weights: CriteriaWeights = DEFAULT_WEIGHTS):
-    """Score every product with a series against the weighted criteria.
+def score_products(boxes_by_product, catalog, weights: CriteriaWeights = DEFAULT_WEIGHTS):
+    """Score every product by its boxes delivered over the history window against the weighted criteria.
 
     `catalog` maps product_id to CatalogEntry. Revenue is total delivered
-    boxes times unit price over the whole history window; the quantity-
-    price ratio is total boxes divided by unit price. Returns one
-    ScoredProduct per input product, in product_id order.
+    boxes times unit price; the quantity-price ratio is total boxes
+    divided by unit price. Returns one ScoredProduct per input product,
+    in product_id order.
     """
-    if not series_by_product:
+    if not boxes_by_product:
         raise ValueError("cannot score an empty product set")
-    pids = sorted(series_by_product)
+    pids = sorted(boxes_by_product)
     revenues, ratios, urgencies = [], [], []
     for pid in pids:
         if pid not in catalog:
             raise ValueError(f"no catalog entry for product {pid!r}")
-        entry = catalog[pid]
-        boxes = sum(series_by_product[pid].values)
+        entry, boxes = catalog[pid], boxes_by_product[pid]
         revenues.append(boxes * entry.unit_price)
         ratios.append(boxes / entry.unit_price)
         urgencies.append(float(entry.urgency))
-
-    norm_rev = _min_max(revenues)
-    norm_ratio = _min_max(ratios)
-    norm_urg = _min_max(urgencies)
-    scored = []
-    for i, pid in enumerate(pids):
-        score = (
-            weights.w_revenue * norm_rev[i]
-            + weights.w_ratio * norm_ratio[i]
-            + weights.w_urgency * norm_urg[i]
-        )
-        scored.append(ScoredProduct(pid, revenues[i], ratios[i], int(urgencies[i]), score))
-    return scored
+    norms = zip(_min_max(revenues), _min_max(ratios), _min_max(urgencies))
+    return [ScoredProduct(pid, revenue, ratio, int(urgency),
+                          weights.w_revenue * r + weights.w_ratio * q + weights.w_urgency * u)
+            for pid, revenue, ratio, urgency, (r, q, u) in zip(pids, revenues, ratios, urgencies, norms)]
 
 
 def rank_and_cut(
@@ -137,9 +127,7 @@ def rank_and_cut(
     scale = math.lcm(*(d for _, d in ratios))
     units = [n * (scale // d) for n, d in ratios]
     total_units = sum(units)
-    a_units, b_units = (
-        -(-t.numerator * total_units // t.denominator) for t in map(_exact, (a_threshold, b_threshold))
-    )
+    a_units, b_units = (-(-n * total_units // d) for n, d in map(_decimal_ratio, (a_threshold, b_threshold)))
 
     results = []
     before = 0
@@ -147,23 +135,8 @@ def rank_and_cut(
         # The class of an item depends on the share accumulated *before* it:
         # the item that first pushes the share past a threshold still
         # belongs to the class below that threshold (minimal-prefix rule).
-        if before < a_units:
-            abc = "A"
-        elif before < b_units:
-            abc = "B"
-        else:
-            abc = "C"
+        abc = "A" if before < a_units else "B" if before < b_units else "C"
         before += unit
-        results.append(
-            ClassificationResult(
-                product_id=item.product_id,
-                revenue=item.revenue,
-                qty_price_ratio=item.qty_price_ratio,
-                score=item.score,
-                rank=rank,
-                cumulative_share=running / total,
-                abc_class=abc,
-                strategic=abc == "A",
-            )
-        )
+        results.append(ClassificationResult(item.product_id, item.revenue, item.qty_price_ratio, item.score, rank,
+                                            running / total, abc, abc == "A"))
     return results

@@ -4,8 +4,15 @@ The strategic stock is a whole-month multiple of the monthly need (one
 month of running stock plus three months of safety buffer by default).
 The order quantity is whatever is missing to reach that level, clamped
 at zero: a surplus is reported as OVERSTOCK, never as a negative order.
+
+`plan_columns` runs the chain for many products in integers: with T the
+prior-year total, h the boxes on hand and a/b the multiplier's decimal,
+M = T/12, QS = T*a/(12*b) and QC = max(0, T*a - 12*b*h)/(12*b). Each is
+one correctly rounded int/int division, the float of the exact
+`Fraction` that `plan_products` gives one product at a time.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -20,12 +27,8 @@ _ZERO = Fraction(0)
 
 
 def _decimal_ratio(value):
-    """`(numerator, denominator)` of the decimal that the text of `value` reads: 0.1 is 1/10."""
-    text = str(value)
-    whole, _, digits = text.partition(".")
-    if not digits.isdigit():  # an int, a Fraction or a number in e-notation
-        return Fraction(text).as_integer_ratio()
-    return int(whole + digits), 10 ** len(digits)
+    """`(numerator, denominator)` of the decimal that the text of `value` reads: 0.1 is 1/10, 1e-05 is 1/10**5."""
+    return value.as_integer_ratio() if isinstance(value, Fraction) else Decimal(str(value)).as_integer_ratio()
 
 
 def _exact(value) -> Fraction:
@@ -72,6 +75,26 @@ def order_quantity(strategic_qty, on_hand):
     if on_hand == target:
         return _ZERO, EXACT
     return target - on_hand, UNDERSTOCK
+
+
+class PlanColumns(NamedTuple):
+    """The sizing chain of products as numerators: M = need / 12, QS = stock / den, QC = order / den."""
+
+    product_ids: list
+    need: list  # T
+    stock: list  # T * a
+    on_hand: list  # h
+    order: list  # max(0, T * a - den * h)
+    status: list
+    den: int  # 12 * b
+
+
+def plan_columns(product_ids, totals, on_hand, months=DEFAULT_STOCK_MONTHS) -> PlanColumns:
+    """The sizing chain of each product from its prior-year total and its boxes on hand; `months` > 0."""
+    a, b = _decimal_ratio(months)
+    stock, held = [t * a for t in totals], [12 * b * h for h in on_hand]
+    return PlanColumns(product_ids, totals, stock, on_hand, [s - h if s > h else 0 for s, h in zip(stock, held)],
+                       [UNDERSTOCK if s > h else EXACT if s == h else OVERSTOCK for s, h in zip(stock, held)], 12 * b)
 
 
 def plan_products(needs_by_product, on_hand_by_product, months=DEFAULT_STOCK_MONTHS):

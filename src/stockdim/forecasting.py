@@ -1,9 +1,9 @@
 """Monthly demand forecasting: baseline need, seasonal forecast, backtests.
 
-`forecast_columns(series, year)` forecasts one year, with no lookahead,
-for a block of series of one window laid end to end: month m of year y
-is the strided column `values[12 * y + m :: width]`, and every sum adds
-columns element-wise, left to right from 0 (`column_sums`). The naive
+`forecast_columns(block, year)` forecasts one year, with no lookahead,
+for a block of products' `Slots`: month m of year y is the strided
+column `values[12 * y + m :: width]`, and every sum adds columns
+element-wise, left to right from 0 (`column_sums`). The naive
 forecast repeats T / 12, for the total T of year `year - 1`. The
 seasonal forecast spreads T by month weight: w_m sums month m over every
 year before `year`, and month m gets T * w_m / sum(w). Year `year - 1`
@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
-from .ingestion import MonthlySeries, annual_total
+from .ingestion import MonthlySeries, Slots, annual_total
 
 METHOD_NAIVE = "naive"
 METHOD_SEASONAL = "seasonal"
@@ -55,15 +55,11 @@ class BacktestReport(NamedTuple):
     no_nonzero_actuals: bool = False
 
 
-def _prior_total(series: MonthlySeries, year: int) -> int:
-    """The deliveries of `year - 1`, a year the series must cover."""
-    prior = year - 1
-    if not series.covers(prior):
-        raise ValueError(
-            f"{series.product_id}: cannot derive the monthly need for {year}, "
-            f"year {prior} not covered by the series ({series.start_year}..{series.end_year})"
-        )
-    return annual_total(series, prior)
+def _check_prior(pid, series, year: int):
+    """Name `pid` unless `series`, a `MonthlySeries` or `Slots`, holds year `year - 1`."""
+    if not series.start_year < year <= series.end_year + 1:
+        raise ValueError(f"{pid}: cannot derive the monthly need for {year}, year {year - 1} "
+                         f"not covered by the series ({series.start_year}..{series.end_year})")
 
 
 def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
@@ -72,7 +68,8 @@ def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
     Kept fractional; rounding to whole boxes happens once, at the
     volumetric packing step.
     """
-    return Fraction(_prior_total(series, target_year), 12)
+    _check_prior(series.product_id, series, target_year)
+    return Fraction(annual_total(series, target_year - 1), 12)
 
 
 def column_sums(columns) -> list:
@@ -80,21 +77,17 @@ def column_sums(columns) -> list:
     return [*reduce(partial(map, add), columns, repeat(0))]
 
 
-def forecast_columns(series, year: int, flat_offer=False) -> tuple:
-    """The forecasts of `year` for a block of series of one window: `(actual, naive, seasonal)` columns.
+def forecast_columns(block: Slots, year: int, flat_offer=False) -> tuple:
+    """The forecasts of `year` for a block of products: `(actual, naive, seasonal)` columns.
 
     `actual` holds `year`'s 12 month columns (none past the window),
-    `naive` T / 12 per series, and `seasonal` 12 month columns, fit on
+    `naive` T / 12 per product, and `seasonal` 12 month columns, fit on
     `MIN_FIT_YEARS` or more earlier years; with `flat_offer`, fewer
     years give `naive` in every month instead of an error.
     """
-    first = series[0]
-    width, fit_years = len(first.values), year - first.start_year
-    if any(s.start_year != first.start_year or len(s.values) != width for s in series):
-        raise ValueError(f"{first.product_id}: a block's series must cover one window")
-    _prior_total(first, year)  # names an uncovered year - 1
-    flat = [*chain.from_iterable(s.values for s in series)]
-    columns = [flat[slot::width] for slot in range(min(width, 12 * fit_years + 12))]
+    first, width, fit_years = next(iter(block)), block.width, year - block.start_year
+    _check_prior(first, block, year)
+    columns = [block.values[slot::width] for slot in range(min(width, 12 * fit_years + 12))]
     totals = column_sums(columns[12 * fit_years - 12 : 12 * fit_years])
     naive = [*map(truediv, totals, repeat(12))]
     if fit_years >= MIN_FIT_YEARS:
@@ -104,32 +97,32 @@ def forecast_columns(series, year: int, flat_offer=False) -> tuple:
     elif flat_offer:
         seasonal = [naive] * 12
     else:
-        raise ValueError(f"{first.product_id}: need at least {MIN_FIT_YEARS} full years to fit "
+        raise ValueError(f"{first}: need at least {MIN_FIT_YEARS} full years to fit "
                          f"seasonal indices, got {fit_years}")
     return columns[12 * fit_years :], naive, seasonal
 
 
 def forecast_year(series: MonthlySeries, year: int) -> tuple:
     """The naive and the seasonal `ForecastResult` of `year`, with no lookahead: `forecast_columns` of one series."""
-    _, (naive,), seasonal = forecast_columns([series], year)
+    _, (naive,), seasonal = forecast_columns(Slots.of([series]), year)
     return (ForecastResult(series.product_id, METHOD_NAIVE, (naive,) * 12),  # one float object, repeated
             ForecastResult(series.product_id, METHOD_SEASONAL, tuple(chain.from_iterable(seasonal))))
 
 
-def backtests(series, holdout_year: int) -> list:
-    """Score both forecast methods of `forecast_columns` against one held-out year, per series of a block.
+def backtests(block: Slots, holdout_year: int) -> list:
+    """Score both forecast methods of `forecast_columns` against one held-out year, per product of a block.
 
     The holdout year must be covered and have `MIN_FIT_YEARS` years before it. MAE sums |f - a|
     over the 12 months, MAPE |f - a| / a over the months with a > 0, each left to right from 0.
     """
-    first, fit_years = series[0], holdout_year - series[0].start_year
-    if not first.covers(holdout_year):
-        raise ValueError(f"{first.product_id}: holdout year {holdout_year} not covered "
-                         f"by the series ({first.start_year}..{first.end_year})")
+    first, fit_years = next(iter(block)), holdout_year - block.start_year
+    if not block.start_year <= holdout_year <= block.end_year:
+        raise ValueError(f"{first}: holdout year {holdout_year} not covered "
+                         f"by the series ({block.start_year}..{block.end_year})")
     if fit_years < MIN_FIT_YEARS:
-        raise ValueError(f"{first.product_id}: backtesting {holdout_year} needs at least "
+        raise ValueError(f"{first}: backtesting {holdout_year} needs at least "
                          f"{MIN_FIT_YEARS} years strictly before it, got {fit_years}")
-    actual, naive, seasonal = forecast_columns(series, holdout_year)
+    actual, naive, seasonal = forecast_columns(block, holdout_year)
     counts = column_sums([[a > 0 for a in column] for column in actual])
 
     def scores(forecast):  # the MAE and the MAPE column of one method
@@ -137,10 +130,10 @@ def backtests(series, holdout_year: int) -> list:
         shares = column_sums([[e / a if a > 0 else 0 for e, a in zip(*pair)] for pair in zip(errors, actual)])
         return [*map(truediv, column_sums(errors), repeat(12))], [s / n if n else 0.0 for s, n in zip(shares, counts)]
     (mae_naive, mape_naive), (mae_seasonal, mape_seasonal) = scores([naive] * 12), scores(seasonal)
-    return [*map(BacktestReport, [s.product_id for s in series], repeat(holdout_year), mae_naive, mae_seasonal,
+    return [*map(BacktestReport, block, repeat(holdout_year), mae_naive, mae_seasonal,
                  mape_naive, mape_seasonal, [n == 0 for n in counts])]
 
 
 def backtest(series: MonthlySeries, holdout_year: int) -> BacktestReport:
     """`backtests` of one series."""
-    return backtests([series], holdout_year)[0]
+    return backtests(Slots.of([series]), holdout_year)[0]

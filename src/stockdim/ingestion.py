@@ -6,8 +6,9 @@ boxes on hand. Parsing is strict: every bad row is reported with its file
 and line number, and nothing is dropped silently. One row check,
 `_cells`, skips blank rows and names wrong field counts and empty ids in
 all three; integers and date parts are ASCII digits (`_INTEGER`). Each
-input must be a regular file. `parse_inputs` returns one dict per input,
-each over every cataloged product (`LoadedData`).
+input must be a regular file. `parse_inputs` returns `LoadedData`: the
+fold's month slots as `Slots`, a mapping that builds a product's
+`MonthlySeries` only when it is looked up, and the catalog and stock.
 
 The delivery file is read in pieces of about `_CHUNK` bytes cut at line
 ends; a lone CR ends a line, as csv reads it. If every piece is plain (its
@@ -31,6 +32,7 @@ import math
 import operator
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from stat import S_ISREG
@@ -90,16 +92,10 @@ class MonthlySeries:
         """Last calendar year covered (inclusive)."""
         return self.start_year + self.n_years - 1
 
-    def covers(self, year: int) -> bool:
-        return self.start_year <= year <= self.end_year
-
     def year_slice(self, year: int) -> tuple:
         """The 12 monthly values of one covered year."""
-        if not self.covers(year):
-            raise ValueError(
-                f"{self.product_id}: year {year} outside series "
-                f"{self.start_year}..{self.end_year}"
-            )
+        if not self.start_year <= year <= self.end_year:
+            raise ValueError(f"{self.product_id}: year {year} outside series {self.start_year}..{self.end_year}")
         lo = (year - self.start_year) * 12
         return self.values[lo : lo + 12]
 
@@ -126,10 +122,54 @@ class CatalogEntry:
             raise ValueError(f"{self.product_id}: carton dimensions must all be > 0")
 
 
-class LoadedData(NamedTuple):
-    """What `parse_inputs` reads: one dict per input, each over every cataloged product, in id order."""
+class Slots(Mapping):
+    """The monthly delivery totals of products of one window, laid end to end as the fold adds them.
 
-    series: dict  # product_id -> MonthlySeries of the window
+    Month m (1-12) of year y of the i-th product is `values[i * width +
+    (y - start_year) * 12 + m - 1]`, so month slot k of every product is
+    the strided column `values[k::width]`. As a read-only mapping it takes
+    each product_id, in order, to a `MonthlySeries` built on each lookup.
+    """
+
+    def __init__(self, ids, start_year: int, n_years: int, values: list):
+        self.start_year, self.end_year, self.width = start_year, start_year + n_years - 1, 12 * n_years
+        self.values, self.offsets = values, {pid: i * 12 * n_years for i, pid in enumerate(ids)}
+
+    @classmethod
+    def of(cls, series):
+        """The slots of `MonthlySeries` of one window, in the order given."""
+        if len({(s.start_year, len(s.values)) for s in series}) > 1:
+            raise ValueError(f"{series[0].product_id}: a block's series must cover one window")
+        return cls([s.product_id for s in series], series[0].start_year, series[0].n_years,
+                   [*itertools.chain.from_iterable(s.values for s in series)])
+
+    def __getitem__(self, pid) -> MonthlySeries:
+        at = self.offsets[pid]
+        return MonthlySeries(pid, self.start_year, tuple(self.values[at : at + self.width]))
+
+    def __iter__(self):
+        return iter(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def blocks(self, ids, size: int):
+        """The slots of `ids`, each held here, in the order given, `size` products at a time."""
+        width, values = self.width, self.values
+        for part in (ids[lo : lo + size] for lo in range(0, len(ids), size)):
+            yield Slots(part, self.start_year, width // 12, [
+                *itertools.chain.from_iterable(values[at : at + width] for at in map(self.offsets.__getitem__, part))])
+
+    def totals(self, ids, first_year: int, last_year: int) -> list:
+        """The deliveries of each of `ids` from `first_year` to `last_year`, both covered, added up."""
+        lo, hi, values = 12 * (first_year - self.start_year), 12 * (last_year - self.start_year + 1), self.values
+        return [sum(values[at + lo : at + hi]) for at in map(self.offsets.__getitem__, ids)]
+
+
+class LoadedData(NamedTuple):
+    """What `parse_inputs` reads: one mapping per input, each over every cataloged product, in id order."""
+
+    series: Slots  # product_id -> MonthlySeries of the window, built on lookup from the fold's slots
     catalog: dict  # product_id -> CatalogEntry
     on_hand: dict  # product_id -> boxes on hand, 0 where the stock file has no row
 
@@ -397,22 +437,21 @@ def _fold_deliveries(path, offsets, start_year, n_years):
 def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_years: int):
     """Parse and cross-validate the three input files into `LoadedData`.
 
-    Its dicts `series`, `catalog` and `on_hand` map every cataloged
-    product, in id order, to its `MonthlySeries` of the `n_years` years
-    from `start_year` (zeros if never delivered), its `CatalogEntry` and
-    its boxes on hand (0, with a WARNING naming it, if it has no stock
-    row). Raises InputError whose message carries one `file:line: reason`
-    entry per problem found, so a single run surfaces every bad row:
-    field-count problems of the delivery, catalog and stock files first,
-    then field-value problems in the same file order, then (only if all
-    else is clean) uncataloged products. Then a delivery outside the
-    window raises ValueError: it is an error, not a filter.
+    `series`, `catalog` and `on_hand` map every cataloged product, in id
+    order, to its `MonthlySeries` of the `n_years` years from `start_year`
+    (zeros if never delivered; `Slots`), its `CatalogEntry` and its boxes on
+    hand (0, with a WARNING naming it, if it has no stock row). Raises
+    InputError whose message carries one `file:line: reason` entry per
+    problem found, so a single run surfaces every bad row: field-count
+    problems of the delivery, catalog and stock files first, then
+    field-value problems in the same file order, then (only if all else is
+    clean) uncataloged products. Then a delivery outside the window raises
+    ValueError: it is an error, not a filter.
     """
     if n_years < 1:
         raise ValueError(f"n_years must be >= 1, got {n_years}")
-    width = 12 * n_years
     catalog, catalog_shape, catalog_bad = _read_keyed(catalog_file, CATALOG_HEADER, _catalog_entry)
-    offsets = {pid: i * width for i, pid in enumerate(sorted(catalog))}
+    offsets = {pid: i * 12 * n_years for i, pid in enumerate(sorted(catalog))}
     slots, uncataloged, outside, delivery_shape, delivery_bad = _fold_deliveries(
         deliveries_file, offsets, start_year, n_years)
     stock, stock_shape, stock_bad = _read_keyed(
@@ -440,8 +479,7 @@ def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_y
     for pid in offsets:
         if pid not in stock:
             logger.warning("no stock snapshot for %s; assuming 0 boxes on hand", pid)
-    series = {pid: MonthlySeries(pid, start_year, tuple(slots[at : at + width])) for pid, at in offsets.items()}
-    return LoadedData(series, {pid: catalog[pid][1] for pid in offsets},
+    return LoadedData(Slots(offsets, start_year, n_years, slots), {pid: catalog[pid][1] for pid in offsets},
                       {pid: stock[pid][1] if pid in stock else 0 for pid in offsets})
 
 

@@ -1,10 +1,13 @@
 """End-to-end pipeline: ingest, classify, forecast, plan, size, report.
 
-The pipeline is defined once, as the stages of `PipelineResult`. Most
+The pipeline is defined once, as the stages of `PipelineResult`, read
+from the fold's month slots (`Slots`) with no per-product series. Most
 are computed once, on first use; `forecasts` and `gaps`, each read by
 one file only, are iterators of `BLOCK`-product column blocks computed
 as that file is written, anew on each read; a check on their values
-raises only when they are iterated. `run_pipeline` reads only the
+raises only when they are iterated. `plans` holds the sizing chain in
+integer numerators (`PlanColumns`): each float written from it is one
+correctly rounded division. `run_pipeline` reads only the
 stages behind the requested files (`ARTIFACTS`), for the strategic
 (class A) subset by default or for every product with `include_all`.
 `write_reports` streams each file into a temporary directory inside the
@@ -29,7 +32,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add, sub, truediv
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,11 +44,11 @@ from .classification import (
     rank_and_cut,
     score_products,
 )
-from .dimensioning import DEFAULT_STOCK_MONTHS, plan_products
-from .forecasting import backtests, column_sums, forecast_columns, monthly_need
+from .dimensioning import DEFAULT_STOCK_MONTHS, plan_columns
+from .forecasting import backtests, column_sums, forecast_columns
 from .forking import _in_two
 from .ingestion import LoadedData, parse_inputs
-from .volumetric import DEFAULT_PALLET, PalletSpec, volumetric_plan
+from .volumetric import DEFAULT_PALLET, PalletSpec, volume_plans
 
 CLASSIFICATION_CSV = "classification.csv"
 FORECAST_CSV = "forecast.csv"
@@ -118,13 +121,6 @@ def load_inputs(config: RunConfig) -> LoadedData:
     return parse_inputs(config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
 
 
-def _blocks(data: LoadedData, product_ids):
-    """The series of `product_ids`, in id order, `BLOCK` at a time."""
-    ids = sorted(product_ids)
-    for lo in range(0, len(ids), BLOCK):
-        yield [data.series[pid] for pid in ids[lo : lo + BLOCK]]
-
-
 def gap_blocks(data: LoadedData, product_ids, config: RunConfig):
     """Yield the gap KPI of the last history year as `(periods, ids, demand, offered, gap, rate)` blocks.
 
@@ -136,10 +132,10 @@ def gap_blocks(data: LoadedData, product_ids, config: RunConfig):
     """
     year = config.last_history_year
     periods = (str(year), *(f"{year}-{month:02d}" for month in range(1, 13)))
-    for series in _blocks(data, product_ids):
-        demand, _, offered = forecast_columns(series, year, flat_offer=True)
+    for block in data.series.blocks(sorted(product_ids), BLOCK):
+        demand, _, offered = forecast_columns(block, year, flat_offer=True)
         demand, offered = [column_sums(demand), *demand], [column_sums(offered), *offered]
-        yield (periods, [s.product_id for s in series], demand, offered,
+        yield (periods, [*block], demand, offered,
                [[*map(sub, d, o)] for d, o in zip(demand, offered)],
                [[o / d if o < d else 1.0 for o, d in zip(os, ds)] for ds, os in zip(demand, offered)])
 
@@ -187,12 +183,12 @@ def backtest_csv(reports, fh):
 
 
 def plan_csv(plans, fh):
+    """Render `PlanColumns`, each float one division of its numerator."""
     fh.write("product_id,M,QS,on_hand,QC,status\n")
-    fh.writelines(
-        f"{_id_field(p.product_id)},{float(p.monthly_need)},{float(p.strategic_qty)},{p.on_hand},"
-        f"{float(p.order_qty)},{p.status}\n"
-        for p in plans
-    )
+    den = repeat(plans.den)
+    fh.writelines(map("%s,%r,%r,%s,%r,%s\n".__mod__, zip(
+        map(_id_field, plans.product_ids), map(truediv, plans.need, repeat(12)), map(truediv, plans.stock, den),
+        plans.on_hand, map(truediv, plans.order, den), plans.status)))
 
 
 def volume_csv(volumes, fh):
@@ -311,7 +307,9 @@ class PipelineResult:
     @cached_property
     def classification(self):
         """Every cataloged product, ranked and cut into ABC classes."""
-        scored = score_products(self.data.series, self.data.catalog, self.config.weights)
+        series = self.data.series
+        totals = dict(zip(series, series.totals(series, series.start_year, series.end_year)))
+        scored = score_products(totals, self.data.catalog, self.config.weights)
         return rank_and_cut(scored, self.config.a_threshold, self.config.b_threshold)
 
     @cached_property
@@ -324,30 +322,31 @@ class PipelineResult:
     @property
     def forecasts(self):
         """`forecast_columns` blocks `(ids, naive, seasonal)` of the target year, a fresh iterator on each read."""
-        for series in _blocks(self.data, self.product_ids):
-            yield [s.product_id for s in series], *forecast_columns(series, self.config.target_year)[1:]
+        for block in self.data.series.blocks(self.product_ids, BLOCK):
+            yield [*block], *forecast_columns(block, self.config.target_year)[1:]
 
     @cached_property
     def backtests(self):
-        blocks = _blocks(self.data, self.product_ids)
-        return [*chain.from_iterable(backtests(series, self.holdout_year) for series in blocks)]
+        blocks = self.data.series.blocks(self.product_ids, BLOCK)
+        return [*chain.from_iterable(backtests(block, self.holdout_year) for block in blocks)]
 
     @cached_property
     def plans(self):
-        needs = {pid: monthly_need(self.data.series[pid], self.config.target_year) for pid in self.product_ids}
-        plans = plan_products(needs, self.data.on_hand, self.config.multiplier)
-        for plan in plans:  # name the first strategic stock too large for a float, before any file
+        """`PlanColumns` of the run's products, from their totals of the year before the target year."""
+        ids, prior = self.product_ids, self.config.target_year - 1
+        plans = plan_columns(ids, self.data.series.totals(ids, prior, prior),
+                             [*map(self.data.on_hand.__getitem__, ids)], self.config.multiplier)
+        for pid, stock in zip(ids, plans.stock):  # name the first stock too large for a float, before any file
             try:
-                float(plan.strategic_qty)
+                stock / plans.den
             except OverflowError:
-                raise ValueError(f"{plan.product_id}: stock multiplier {self.config.multiplier} makes "
+                raise ValueError(f"{pid}: stock multiplier {self.config.multiplier} makes "
                                  "the strategic stock too large for a float") from None
         return plans
 
     @cached_property
     def volumes(self):
-        catalog, pallet = self.data.catalog, self.config.pallet
-        volumes = [volumetric_plan(p, catalog[p.product_id], pallet) for p in self.plans]
+        volumes = volume_plans(self.plans, self.data.catalog, self.config.pallet)
         for volume in volumes:  # name the first volume too large for a float, as `plans` does its stock
             if not math.isfinite(volume.total_volume_m3):
                 raise ValueError(f"{volume.product_id}: stock multiplier {self.config.multiplier} makes "
@@ -363,7 +362,7 @@ class PipelineResult:
     def summary(self) -> dict:
         summary = {
             "products_planned": len(self.product_ids),
-            "total_qc_boxes": reduce(add, (float(p.order_qty) for p in self.plans), 0),
+            "total_qc_boxes": reduce(add, map(truediv, self.plans.order, repeat(self.plans.den)), 0),
             "total_pallets": sum(v.pallets for v in self.volumes),
             "total_volume_m3": reduce(add, (v.total_volume_m3 for v in self.volumes), 0),
         }
@@ -379,10 +378,7 @@ def run_pipeline(config: RunConfig, artifacts=REPORT, holdout_year=None) -> Pipe
     The default is `report`'s six files: classification.csv (always every
     product), forecast/plan/volume/gap CSVs of the selected products and
     summary.json. backtest.csv scores `holdout_year` (default: the last
-    history year). Identical inputs and config give byte-identical files.
-    `forecasts` and `gaps` are computed row by row while their file is
-    written. A failed run keeps the previous files and removes every
-    directory it created (`write_reports`).
+    history year).
     """
     result = PipelineResult(config, holdout_year)
     reports = {}

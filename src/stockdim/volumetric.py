@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
-from .dimensioning import StockPlan, _exact
+from .dimensioning import PlanColumns, StockPlan, _decimal_ratio
 from .ingestion import CatalogEntry
 
 MM3_TO_M3 = 1e-9
@@ -89,15 +89,12 @@ def cartons_per_pallet(carton_dims, pallet: PalletSpec):
     """
     if len(carton_dims) != 3 or any(not d > 0 for d in carton_dims):
         raise ValueError("carton dimensions must be three positive numbers")
-    length, width, height = map(_exact, (pallet.usable_length, pallet.usable_width, pallet.usable_height))
-    best_count = -1
-    best_orientation = None
-    for d1, d2, d3 in sorted(set(permutations(carton_dims))):
-        count = (length // _exact(d1)) * (width // _exact(d2)) * (height // _exact(d3))
-        if count > best_count:
-            best_count = count
-            best_orientation = (d1, d2, d3)
-    return best_count, best_orientation
+    sides = [*map(_decimal_ratio, (pallet.usable_length, pallet.usable_width, pallet.usable_height))]
+
+    def count(orientation):  # the product of each floor(side / edge), side n/d and edge p/q as integer ratios
+        return math.prod(n * q // (d * p) for (n, d), (p, q) in zip(sides, map(_decimal_ratio, orientation)))
+    best = max(sorted(set(permutations(carton_dims))), key=count)  # the first of the best, so the least
+    return count(best), best
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 400 and 400.0 keep their own orientation text
@@ -111,24 +108,25 @@ def volumetric_plan(
 ) -> VolumetricPlan:
     """Size one product's strategic quantity in cartons, pallets, and m3.
 
-    This is the single point where the fractional strategic quantity is
-    rounded (up) to whole boxes.
+    This is where the fractional strategic quantity of one product is
+    rounded (up) to whole boxes, as `volume_plans` rounds a block's.
     """
-    boxes = math.ceil(stock_plan.strategic_qty)
+    return _packed(stock_plan.product_id, math.ceil(stock_plan.strategic_qty), entry, pallet)
+
+
+def volume_plans(plans: PlanColumns, catalog, pallet: PalletSpec = DEFAULT_PALLET) -> list:
+    """`volumetric_plan` of each product of `plans`, from its numerators: its boxes are `-(-stock // den)`."""
+    return [_packed(pid, -(-stock // plans.den), catalog[pid], pallet)
+            for pid, stock in zip(plans.product_ids, plans.stock)]
+
+
+def _packed(product_id, boxes: int, entry: CatalogEntry, pallet: PalletSpec) -> VolumetricPlan:
+    """`boxes` of one product in cartons, on pallets, and in m3."""
     cartons = cartons_needed(boxes, entry.boxes_per_carton)
     per_pallet, orientation = _carton_fit(*entry.carton_dims, pallet)
     if cartons > 0 and per_pallet == 0:
-        raise UnpalletizableError(stock_plan.product_id, entry.carton_dims, pallet)
+        raise UnpalletizableError(product_id, entry.carton_dims, pallet)
     pallets = pallets_needed(cartons, per_pallet) if cartons > 0 else 0
-    carton_volume_m3 = (
-        entry.carton_dims[0] * entry.carton_dims[1] * entry.carton_dims[2] * MM3_TO_M3
-    )
-    return VolumetricPlan(
-        product_id=stock_plan.product_id,
-        boxes=boxes,
-        cartons=cartons,
-        cartons_per_pallet=per_pallet,
-        orientation=orientation,
-        pallets=pallets,
-        total_volume_m3=cartons * carton_volume_m3,
-    )
+    length, width, height = entry.carton_dims
+    return VolumetricPlan(product_id, boxes, cartons, per_pallet, orientation, pallets,
+                          cartons * (length * width * height * MM3_TO_M3))

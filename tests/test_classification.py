@@ -8,11 +8,7 @@ from stockdim.classification import (
     rank_and_cut,
     score_products,
 )
-from stockdim.ingestion import CatalogEntry, MonthlySeries
-
-
-def series_with_total(pid, total):
-    return MonthlySeries(pid, 2020, (total,) + (0,) * 11)
+from stockdim.ingestion import CatalogEntry
 
 
 def entry(pid, price, urgency=0):
@@ -39,16 +35,16 @@ def test_weights_sum_to_one_as_the_decimals_they_read():
 
 
 def test_revenue_only_weights_hit_minmax_endpoints():
-    series = {"A": series_with_total("A", 100), "B": series_with_total("B", 300)}
+    boxes = {"A": 100, "B": 300}
     catalog = {"A": entry("A", 1.0), "B": entry("B", 1.0)}
-    out = {s.product_id: s.score for s in score_products(series, catalog, CriteriaWeights(1, 0, 0))}
+    out = {s.product_id: s.score for s in score_products(boxes, catalog, CriteriaWeights(1, 0, 0))}
     assert out == {"A": 0.0, "B": 1.0}
 
 
 def test_urgency_only_weights():
-    series = {"A": series_with_total("A", 10), "B": series_with_total("B", 10)}
+    boxes = {"A": 10, "B": 10}
     catalog = {"A": entry("A", 1.0, urgency=1), "B": entry("B", 1.0, urgency=0)}
-    out = {s.product_id: s.score for s in score_products(series, catalog, CriteriaWeights(0, 0, 1))}
+    out = {s.product_id: s.score for s in score_products(boxes, catalog, CriteriaWeights(0, 0, 1))}
     assert out == {"A": 1.0, "B": 0.0}
 
 
@@ -57,19 +53,14 @@ def test_four_product_normalization_table():
     #   revenue: A 200, B 300, C 400, D 100 -> normalized (r-100)/300
     #   ratio:   A 50,  B 300, C 6.25, D 4  -> normalized (q-4)/296
     #   urgency: only B -> B 1, others 0
-    series = {
-        "A": series_with_total("A", 100),
-        "B": series_with_total("B", 300),
-        "C": series_with_total("C", 50),
-        "D": series_with_total("D", 20),
-    }
+    boxes = {"A": 100, "B": 300, "C": 50, "D": 20}
     catalog = {
         "A": entry("A", 2.0),
         "B": entry("B", 1.0, urgency=1),
         "C": entry("C", 8.0),
         "D": entry("D", 5.0),
     }
-    out = {s.product_id: s for s in score_products(series, catalog, CriteriaWeights(0.5, 0.3, 0.2))}
+    out = {s.product_id: s for s in score_products(boxes, catalog, CriteriaWeights(0.5, 0.3, 0.2))}
     assert out["A"].revenue == 200.0 and out["A"].qty_price_ratio == 50.0
     expected = {
         "A": 0.5 * (100 / 300) + 0.3 * (46 / 296),
@@ -82,9 +73,9 @@ def test_four_product_normalization_table():
 
 
 def test_constant_criterion_normalizes_to_zero():
-    series = {"A": series_with_total("A", 10), "B": series_with_total("B", 10)}
+    boxes = {"A": 10, "B": 10}
     catalog = {"A": entry("A", 1.0), "B": entry("B", 1.0)}
-    out = score_products(series, catalog, CriteriaWeights(0.5, 0.3, 0.2))
+    out = score_products(boxes, catalog, CriteriaWeights(0.5, 0.3, 0.2))
     assert all(s.score == 0.0 for s in out)
 
 
@@ -96,9 +87,9 @@ def test_empty_product_set_rejected():
 
 
 def test_a_series_without_a_catalog_entry_rejected():
-    series = {"A": series_with_total("A", 10), "B": series_with_total("B", 10)}
+    boxes = {"A": 10, "B": 10}
     with pytest.raises(ValueError, match="^no catalog entry for product 'B'$"):
-        score_products(series, {"A": entry("A", 1.0)}, CriteriaWeights())
+        score_products(boxes, {"A": entry("A", 1.0)}, CriteriaWeights())
 
 
 def test_cut_example_from_share_table():

@@ -499,13 +499,13 @@ def test_a_volume_too_large_for_a_float_is_one_error_line(command, tiny_inputs, 
 
 
 @pytest.mark.parametrize("args, unused", [
-    (["classify"], ("monthly_need", "plan_products", "build_gaps", "backtests")),
+    (["classify"], ("plan_columns", "build_gaps", "backtests")),
     (["classify"], ("forecast_columns", "gap_blocks")),
-    (["forecast"], ("plan_products", "build_gaps")),
+    (["forecast"], ("plan_columns", "build_gaps")),
     (["forecast"], ("gap_blocks", "backtests")),
-    (["backtest"], ("plan_products", "build_gaps")),
+    (["backtest"], ("plan_columns", "build_gaps")),
     (["backtest"], ("gap_blocks",)),
-    (["plan"], ("volumetric_plan",)),
+    (["plan"], ("volume_plans",)),
     (["plan", "--all"], ("rank_and_cut",)),
 ], ids=" ".join)
 def test_single_artifact_subcommands_run_only_their_stages(args, unused, bundled_paths, tmp_path, monkeypatch):

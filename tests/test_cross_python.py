@@ -1,8 +1,9 @@
 """The reports are byte-identical on every installed Python from 3.10 to 3.13.
 
 Each interpreter runs `run_pipeline` in a subprocess, without click, on
-the bundled data. Interpreters are looked up among pyenv's versions
-(`$PYENV_ROOT`, by default `~/.pyenv`).
+the bundled data and on the benchmark's small generated `smoke` set
+(seed 1, written once by the running interpreter). Interpreters are
+looked up among pyenv's versions (`$PYENV_ROOT`, by default `~/.pyenv`).
 """
 
 import json
@@ -19,15 +20,16 @@ import hashlib, json, sys, tempfile
 from pathlib import Path
 from stockdim.reporting import BACKTEST_CSV, REPORT, RunConfig, run_pipeline
 
-data, hashes = Path(sys.argv[1]), {}
-for label, artifacts, include_all in (("report", REPORT, False), ("report --all", REPORT, True),
-                                      ("backtest --all", (BACKTEST_CSV,), True)):
-    with tempfile.TemporaryDirectory() as out:
-        config = RunConfig(data / "deliveries.csv", data / "catalog.csv", data / "stock.csv", Path(out),
-                           2019, 3, 2022, include_all=include_all)
-        run_pipeline(config, artifacts)
-        for name in artifacts:
-            hashes[f"{label}: {name}"] = hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+hashes = {}
+for data in map(Path, sys.argv[1:]):
+    for label, artifacts, include_all in (("report", REPORT, False), ("report --all", REPORT, True),
+                                          ("backtest --all", (BACKTEST_CSV,), True)):
+        with tempfile.TemporaryDirectory() as out:
+            config = RunConfig(data / "deliveries.csv", data / "catalog.csv", data / "stock.csv", Path(out),
+                               2019, 3, 2022, include_all=include_all)
+            run_pipeline(config, artifacts)
+            for name in artifacts:
+                hashes[f"{data.name} {label}: {name}"] = hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
 assert "click" not in sys.modules
 print(json.dumps(hashes))
 """
@@ -41,20 +43,27 @@ def other_pythons():
             if python.resolve() != this and python.is_file()]
 
 
-def report_hashes(python):
+def report_hashes(python, datasets):
     done = subprocess.run(
-        [str(python), "-c", RUN, str(ROOT / "data")], capture_output=True, text=True, timeout=300,
+        [str(python), "-c", RUN, *map(str, datasets)], capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert done.returncode == 0, f"{python}: {done.stderr}"
     return json.loads(done.stdout)
 
 
-def test_every_python_from_3_10_writes_the_same_bytes():
+def test_every_python_from_3_10_writes_the_same_bytes(tmp_path):
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no other Python 3.10 to 3.13 found: no file was compared")
-    expected = report_hashes(sys.executable)
-    assert len(expected) == 13
+    sys.path.insert(0, str(ROOT / "stockbench"))
+    try:
+        from workloads import generate
+    finally:
+        sys.path.remove(str(ROOT / "stockbench"))
+    generate("smoke", 1, tmp_path / "smoke")
+    datasets = (ROOT / "data", tmp_path / "smoke")
+    expected = report_hashes(sys.executable, datasets)
+    assert len(expected) == 2 * 13
     for python in pythons:
-        assert report_hashes(python) == expected, python
+        assert report_hashes(python, datasets) == expected, python

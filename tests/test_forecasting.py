@@ -15,7 +15,7 @@ from stockdim.forecasting import (
     forecast_year,
     monthly_need,
 )
-from stockdim.ingestion import MonthlySeries
+from stockdim.ingestion import MonthlySeries, Slots
 
 DEC_PEAK = (100,) * 11 + (200,)  # 1300 boxes/year, all of the bump in December
 
@@ -161,13 +161,13 @@ def test_forecast_year_names_too_little_history_and_an_uncovered_prior_year():
 def test_a_block_is_one_window_and_names_its_first_product():
     block = [years(DEC_PEAK, 3), MonthlySeries("Q", 2019, (1,) * 24)]
     with pytest.raises(ValueError) as raised:
-        forecast_columns(block, 2021)
+        forecast_columns(Slots.of(block), 2021)
     assert str(raised.value) == "P: a block's series must cover one window"
     block = [MonthlySeries("A", 2019, DEC_PEAK * 3), MonthlySeries("B", 2018, DEC_PEAK * 4)]  # both end in 2021
     with pytest.raises(ValueError, match="^A: a block's series must cover one window$"):
-        backtests(block, 2021)
+        backtests(Slots.of(block), 2021)
     with pytest.raises(ValueError, match="^A: need at least 2 full years"):
-        forecast_columns([MonthlySeries("A", 2019, DEC_PEAK * 2), MonthlySeries("B", 2019, (0,) * 24)], 2020)
+        forecast_columns(Slots.of([MonthlySeries("A", 2019, DEC_PEAK * 2), MonthlySeries("B", 2019, (0,) * 24)]), 2020)
 
 
 def test_backtest_periodic_series_seasonal_is_exact():

@@ -1,22 +1,41 @@
-"""forecast.csv and gap.csv against an exact reference, and the memory their block pass keeps.
+"""forecast.csv, gap.csv, plan.csv, volume.csv and summary.json against an exact reference.
 
-The reference is computed from the generated delivery rows alone, with
-`Fraction`, and the files are read back with `csv` alone.
+The reference is computed from the generated input rows alone, with
+`Fraction`, and the files are read back with `csv` and `json` alone. A
+value written as one correctly rounded float is compared with
+`repr(float(exact))`. The fields in `FLOAT_RULE_FIELDS` are not that
+value: they follow the documented float rule, and are checked by it.
+The memory that the block pass of forecast.csv and gap.csv keeps is
+checked too.
 """
 
 import csv
+import json
+import math
 import random
 import tempfile
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from operator import add
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockdim.reporting import FORECAST_CSV, GAP_CSV, PipelineResult, RunConfig, forecast_csv, gap_csv, run_pipeline
+from stockdim.reporting import (
+    FORECAST_CSV,
+    GAP_CSV,
+    PLAN_CSV,
+    SUMMARY_JSON,
+    VOLUME_CSV,
+    PipelineResult,
+    RunConfig,
+    forecast_csv,
+    gap_csv,
+    run_pipeline,
+)
 
 START = 2019
 CATALOG_HEADER = ("product_id", "name", "unit_price", "urgency", "boxes_per_carton",
@@ -25,11 +44,13 @@ CATALOG_HEADER = ("product_id", "name", "unit_price", "urgency", "boxes_per_cart
 IDS = st.text(alphabet='ab,"\n', min_size=1, max_size=4).filter(lambda pid: pid == pid.strip())
 
 
-def write_inputs(directory, ids, deliveries, n_years):
+def write_inputs(directory, ids, deliveries, n_years, catalog=None, stock=None, multiplier=4):
     """Write the three input files and return the `RunConfig` of a `--all` run over them.
 
     `deliveries` holds `(pid, slot, quantity, with_day)`, slot 0 being
-    January of `START`. The last id gets no stock row.
+    January of `START`. `catalog` maps an id to its `(boxes_per_carton,
+    carton dims)`, by default 10 cartons of 300 mm cubed; `stock` holds
+    the `(pid, on_hand)` rows, by default 5 boxes of each id but the last.
     """
     def write(name, header, rows):
         with open(directory / name, "w", newline="", encoding="utf-8") as fh:
@@ -38,14 +59,15 @@ def write_inputs(directory, ids, deliveries, n_years):
             writer.writerows(rows)
         return directory / name
 
-    dates = {False: "{}-{:02d}", True: "{}-{:02d}-15"}
+    dates, cartons = {False: "{}-{:02d}", True: "{}-{:02d}-15"}, catalog or {}
     return RunConfig(
         write("deliveries.csv", ("product_id", "date", "quantity"),
               [(pid, dates[day].format(START + slot // 12, slot % 12 + 1), quantity)
                for pid, slot, quantity, day in deliveries]),
-        write("catalog.csv", CATALOG_HEADER, [(pid, "Item", 2.0, 0, 10, 300, 300, 300) for pid in ids]),
-        write("stock.csv", ("product_id", "on_hand"), [(pid, 5) for pid in ids[:-1]]),
-        directory / "out", START, n_years, START + n_years, include_all=True,
+        write("catalog.csv", CATALOG_HEADER,
+              [(pid, "Item", 2.0, 0, bpc, *dims) for pid in ids for bpc, dims in [cartons.get(pid, (10, (300,) * 3))]]),
+        write("stock.csv", ("product_id", "on_hand"), [(pid, 5) for pid in ids[:-1]] if stock is None else stock),
+        directory / "out", START, n_years, START + n_years, multiplier=multiplier, include_all=True,
     )
 
 
@@ -105,6 +127,93 @@ def test_forecast_and_gap_files_are_the_exact_values_rounded_once(case):
         expected_gaps += [gap_row(pid, f"{year}-{m:02d}", d, o) for m, d, o in zip(range(1, 13), demands, offers)]
     assert forecasts == expected_forecasts
     assert gaps == expected_gaps
+
+
+# Written by today's float rule, not as the exact value rounded once:
+# a volume is `cartons * (l * w * h * 1e-9)`, and a summary total adds its
+# column's written floats left to right from 0.
+FLOAT_RULE_FIELDS = ("volume.csv total_volume_m3", "summary.json total_qc_boxes", "summary.json total_volume_m3")
+# Multipliers as the decimals their text reads, e-notation included.
+MULTIPLIERS = (0.1, 0.333, 6.5, 1e1, 2.5e-1)
+# Cartons on the default 1200 x 800 x 1500 mm pallet: one that fits every
+# way, one that fits only with its 1300 mm side up, one that fits only with
+# its 850 mm side along the length or up, one of decimal millimetres, and
+# one that fits no way, which only a product that needs no carton may use.
+CARTONS = ((400, 300, 200), (1300, 500, 400), (850, 100, 900), (250.5, 300, 199.9), (1600, 1600, 1600))
+# How stock.csv holds a product: no row (0 on hand), a drawn level, the
+# strategic stock rounded up (EXACT where it is whole), or above that.
+STOCK = ("none", "drawn", "ceil", "above")
+
+
+def best_fit(dims):
+    """The brute-force best of the six orientations on the default pallet: (count, orientation), ties to the least."""
+    def count(orientation):
+        return math.prod(side // Fraction(repr(d)) for side, d in zip((1200, 800, 1500), orientation))
+    most, orientation = min((-count(o), o) for o in permutations(dims))
+    return -most, orientation
+
+
+@st.composite
+def plan_sets(draw):
+    """1 to 3 years, 2 to 5 products, the first never delivered.
+
+    A product's deliveries are all multiples of 1 or all of 12000, which
+    makes its strategic stock whole for every multiplier here.
+    """
+    n_years = draw(st.integers(1, 3))
+    ids = draw(st.lists(IDS, min_size=2, max_size=5, unique=True))
+    products = {pid: (draw(st.sampled_from((1, 12000))), draw(st.integers(1, 48)),
+                      draw(st.sampled_from(CARTONS if i == 0 else CARTONS[:-1])),
+                      draw(st.sampled_from(STOCK)), draw(st.integers(0, 10**7)))
+                for i, pid in enumerate(ids)}
+    deliveries = draw(st.lists(st.tuples(
+        st.sampled_from(ids[1:]), st.integers(0, 12 * n_years - 1), st.integers(0, 10**6), st.booleans(),
+    ), max_size=30))
+    return n_years, draw(st.sampled_from(MULTIPLIERS)), products, deliveries
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan_sets())
+def test_plan_volume_and_summary_are_the_exact_chain(case):
+    n_years, multiplier, products, deliveries = case
+    deliveries = [(pid, slot, quantity * products[pid][0], day) for pid, slot, quantity, day in deliveries]
+    totals = dict.fromkeys(products, 0)  # T, the deliveries of the year before the target year
+    for pid, slot, quantity, _ in deliveries:
+        totals[pid] += quantity if slot >= 12 * (n_years - 1) else 0
+    months = Fraction(repr(multiplier))
+    stock, expected_plan, expected_volume, qc, volumes, pallets = [], [], [], [], [], []
+    for pid in sorted(products):
+        _, per_carton, dims, kind, drawn = products[pid]
+        need = Fraction(totals[pid], 12)
+        strategic = need * months
+        on_hand = {"none": 0, "drawn": drawn, "ceil": math.ceil(strategic),
+                   "above": math.ceil(strategic) + 1 + drawn}[kind]
+        if kind != "none":
+            stock.append((pid, on_hand))
+        order = max(strategic - on_hand, 0)
+        status = "OVERSTOCK" if on_hand > strategic else "EXACT" if on_hand == strategic else "UNDERSTOCK"
+        expected_plan.append([pid, *(repr(float(v)) for v in (need, strategic)), str(on_hand), repr(float(order)),
+                              status])
+        boxes = math.ceil(strategic)
+        cartons = -(-boxes // per_carton)
+        count, orientation = best_fit(dims)
+        pallets.append(-(-cartons // count) if cartons else 0)
+        volumes.append(cartons * (dims[0] * dims[1] * dims[2] * 1e-9))  # FLOAT_RULE_FIELDS
+        qc.append(float(order))
+        expected_volume.append([pid, str(boxes), str(cartons), str(count), "x".join(map(str, orientation)),
+                                str(pallets[-1]), repr(volumes[-1])])
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_inputs(Path(tmp), list(products), deliveries, n_years,
+                              {pid: (bpc, dims) for pid, (_, bpc, dims, _, _) in products.items()}, stock, multiplier)
+        run_pipeline(config, (PLAN_CSV, VOLUME_CSV, SUMMARY_JSON))
+        plan, volume = read_csv(config.out_dir / PLAN_CSV), read_csv(config.out_dir / VOLUME_CSV)
+        summary = json.loads((config.out_dir / SUMMARY_JSON).read_text(encoding="utf-8"))
+    assert plan == [["product_id", "M", "QS", "on_hand", "QC", "status"], *expected_plan]
+    assert volume == [["product_id", "boxes", "cartons", "cartons_per_pallet", "orientation", "pallets",
+                       "total_volume_m3"], *expected_volume]
+    assert summary == {"products_planned": len(products), "total_pallets": sum(pallets),
+                       "total_qc_boxes": reduce(add, qc, 0),  # FLOAT_RULE_FIELDS, left to right from 0
+                       "total_volume_m3": reduce(add, volumes, 0)}  # FLOAT_RULE_FIELDS
 
 
 def test_forecast_and_gap_files_are_written_in_bounded_memory(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -24,8 +25,9 @@ from stockdim import (
     VolumetricPlan,
 )
 from stockdim.forecasting import MIN_FIT_YEARS, backtest, forecast_year, monthly_need
+from stockdim.dimensioning import PlanColumns
 from stockdim.forking import _can_fork
-from stockdim.ingestion import InputError, MonthlySeries
+from stockdim.ingestion import InputError, MonthlySeries, Slots
 from stockdim.reporting import (
     BACKTEST_CSV,
     BLOCK,
@@ -33,6 +35,7 @@ from stockdim.reporting import (
     GapReport,
     LoadedData,
     PLAN_CSV,
+    REPORT,
     RunConfig,
     backtest_csv,
     build_gaps,
@@ -74,7 +77,7 @@ def test_gap_kpi_conventions():
     series = MonthlySeries("P", 2020, (100,) * 12 + (100, 250, 40) + (0,) * 9)
     config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
                        start_year=2020, n_years=2, target_year=2022)
-    rows = list(build_gaps(LoadedData(series={"P": series}, catalog={}, on_hand={}), ["P"], config))
+    rows = list(build_gaps(LoadedData(series=Slots.of([series]), catalog={}, on_hand={}), ["P"], config))
     met, short, over, idle = rows[1:5]
     assert met.gap == 0 and met.service_rate == 1.0
     assert short.gap == 150 and short.service_rate == 0.4
@@ -148,7 +151,7 @@ def test_pipeline_writes_every_report(bundled_paths, tmp_path):
     result = run_pipeline(make_config(bundled_paths, tmp_path / "out"))
     for name in CSV_NAMES + ("summary.json",):
         assert (tmp_path / "out" / name).is_file()
-    assert result.summary["products_planned"] == len(result.plans)
+    assert result.summary["products_planned"] == len(result.plans.product_ids)
 
 
 def test_pipeline_is_deterministic(bundled_paths, tmp_path):
@@ -221,7 +224,7 @@ def test_mean_monthly_gap_is_the_seasonal_backtest_mae(values):
     series = MonthlySeries("P", 2019, tuple(values))
     config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
                        start_year=2019, n_years=series.n_years, target_year=series.end_year + 1)
-    data = LoadedData(catalog={}, series={"P": series}, on_hand={})
+    data = LoadedData(catalog={}, series=Slots.of([series]), on_hand={})
     annual, *months = build_gaps(data, ["P"], config)
     assert [g.period for g in months] == [f"{series.end_year}-{m:02d}" for m in range(1, 13)]
     report = backtest(series, series.end_year)
@@ -266,7 +269,7 @@ def test_gap_rows_are_the_old_gap_row_of_each_period(histories):
         demands = series[pid].year_slice(year)
         expected.append(old_gap_row(pid, str(year), sum(demands), reduce(add, offers, 0)))
         expected.extend(old_gap_row(pid, f"{year}-{m:02d}", d, o) for m, d, o in zip(range(1, 13), demands, offers))
-    data = LoadedData(catalog={}, series=series, on_hand={})
+    data = LoadedData(catalog={}, series=Slots.of([*series.values()]), on_hand={})
     rows = list(build_gaps(data, reversed(list(series)), config))
     assert rows == expected
     assert {type(row) for row in rows} == {GapReport}
@@ -316,10 +319,31 @@ def test_empty_deliveries_with_catalog_yields_zero_plans(tmp_path):
     stock = write_csv(tmp_path / "stock.csv", "product_id,on_hand", [("P1", 0), ("P2", 0)])
     paths = {"deliveries": deliveries, "catalog": catalog, "stock": stock}
     result = run_pipeline(make_config(paths, tmp_path / "out", n_years=2, target_year=2021))
-    assert all(p.order_qty == 0 for p in result.plans)
+    assert all(order == 0 for order in result.plans.order)
     assert all(v.pallets == 0 for v in result.volumes)
     assert result.summary["total_pallets"] == 0
     assert result.summary["total_qc_boxes"] == 0.0
+
+
+@pytest.mark.parametrize("multiplier", [4, 6.5, 1e-05])
+def test_report_builds_no_monthly_series_and_no_fraction(multiplier, bundled_paths, tmp_path, monkeypatch):
+    config = make_config(bundled_paths, tmp_path, include_all=True, multiplier=multiplier)
+    monkeypatch.delattr(os, "fork")  # one process, so that every object is built here
+    built = []
+
+    def counted(real, kind):
+        def build(*args, **kwargs):
+            built.append(kind)
+            return real(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(MonthlySeries, "__init__", counted(MonthlySeries.__init__, "MonthlySeries"))
+    for name in ("__new__", "_from_coprime_ints"):  # the second builds a Fraction from Python 3.12 on
+        if name in vars(Fraction):
+            monkeypatch.setattr(Fraction, name, staticmethod(counted(getattr(Fraction, name), "Fraction")))
+    run_pipeline(config, REPORT)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(REPORT)
+    assert Counter(built) == {}
 
 
 def test_failed_run_leaves_no_partial_outputs(tiny_inputs, tmp_path):
@@ -359,16 +383,16 @@ def test_strategic_closure_on_bundled_dataset(bundled_paths, tmp_path):
     out = tmp_path / "out"
     result = run_pipeline(make_config(bundled_paths, out))
     strategic = {r.product_id for r in result.classification if r.strategic}
-    assert {p.product_id for p in result.plans} == strategic
+    assert set(result.plans.product_ids) == strategic
     assert all(r.abc_class == "A" for r in result.classification if r.product_id in strategic)
 
 
 def test_pipeline_respects_multiplier_override(bundled_paths, tmp_path):
     base = run_pipeline(make_config(bundled_paths, tmp_path / "m4"))
     harder = run_pipeline(make_config(bundled_paths, tmp_path / "m6", multiplier=6))
-    base_by_id = {p.product_id: p for p in base.plans}
-    for plan in harder.plans:
-        assert plan.strategic_qty == Fraction(6, 4) * base_by_id[plan.product_id].strategic_qty
+    base_by_id = {pid: Fraction(stock, base.plans.den) for pid, stock in zip(base.plans.product_ids, base.plans.stock)}
+    for pid, stock in zip(harder.plans.product_ids, harder.plans.stock):
+        assert Fraction(stock, harder.plans.den) == Fraction(6, 4) * base_by_id[pid]
 
 
 # Ids that need CSV quoting (or look as if they might), and floats whose
@@ -423,15 +447,15 @@ def _render_case(name):
         ]
         header = ("product_id", "holdout_year", "mae_naive", "mae_seasonal", "mape_naive", "mape_seasonal")
         return backtest_csv, records, _csv_writer_text(header, [r[:6] for r in records])
-    if name == "plan":
-        records = [
-            StockPlan(pid, _tricky(i), Fraction(i, 3), i, _tricky(i + 2), "UNDERSTOCK") for i, pid in pids
-        ]
+    if name == "plan":  # numerators of up to 220 digits, over 12 and over 12 * 1000
+        need = [3 ** (20 * i) for i, _ in pids]
+        stock = [n * 333 for n in need]
+        order = [max(s - 12000 * i, 0) for (i, _), s in zip(pids, stock)]
+        status = [("UNDERSTOCK", "EXACT", "OVERSTOCK")[i % 3] for i, _ in pids]
+        records = PlanColumns([pid for _, pid in pids], need, stock, [i for i, _ in pids], order, status, 12000)
         header = ("product_id", "M", "QS", "on_hand", "QC", "status")
-        rows = [
-            (p.product_id, float(p.monthly_need), float(p.strategic_qty), p.on_hand, float(p.order_qty), p.status)
-            for p in records
-        ]
+        rows = [(pid, t / 12, s / 12000, i, o / 12000, state)
+                for (i, pid), t, s, o, state in zip(pids, need, stock, order, status)]
         return plan_csv, records, _csv_writer_text(header, rows)
     if name == "volume":
         records = [
