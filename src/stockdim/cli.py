@@ -3,19 +3,19 @@
 Each subcommand is one row of `_COMMANDS`, which names the files it
 writes; `run_pipeline` computes the stages they need. `_SETTINGS` gives
 every setting its flag, INI option (--config) and default; flags
-override the file, which overrides the defaults. Output goes into
---out-dir with exit code 0. Any error, a non-finite number or a result
-too large for a float included, prints `Error: ...`, one line per
-problem, and exits nonzero. A UTF-8 byte order mark opening the INI file
-is skipped.
+override the file, which overrides the defaults. `argparse` reads both
+tables. Output goes into --out-dir with exit code 0. Any error, a
+non-finite number or a result too large for a float included, prints
+`Error: ...`, one line per problem, and exits 1; a usage error prints the
+usage, then one `Error: ...` line, and exits 2. A UTF-8 byte order mark
+opening the INI file is skipped.
 """
 
+import argparse
 import configparser
 import logging
 import sys
 from pathlib import Path
-
-import click
 
 from .classification import DEFAULT_A_THRESHOLD, DEFAULT_B_THRESHOLD, DEFAULT_WEIGHTS, CriteriaWeights
 from .dimensioning import DEFAULT_STOCK_MONTHS
@@ -87,14 +87,12 @@ def _build_config(params) -> RunConfig:
             with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
     except (OSError, UnicodeError) as exc:
-        raise click.ClickException(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:  # some of these messages span lines
-        raise click.ClickException(
-            f"bad config file {path}: " + " ".join(line.strip() for line in str(exc).splitlines())
-        )
+        raise ValueError(f"bad config file {path}: " + " ".join(line.strip() for line in str(exc).splitlines()))
     unknown = _unknown_entry(parser)
     if unknown:
-        raise click.ClickException(f"bad config file {path}: unknown {unknown}")
+        raise ValueError(f"bad config file {path}: unknown {unknown}")
     settings = {}
     for key, section, option, kind, default, _ in _SETTINGS:
         settings[key] = default
@@ -103,15 +101,13 @@ def _build_config(params) -> RunConfig:
             try:
                 settings[key] = kind(raw)
             except ValueError:
-                raise click.ClickException(f"bad config file {path}: [{section}] {option} = {raw!r}")
+                raise ValueError(f"bad config file {path}: [{section}] {option} = {raw!r}")
         if params[key] is not None:
             settings[key] = params[key]
     missing = [key for key, value in settings.items() if value is None and key != "target_year"]
     if missing:
-        raise click.ClickException(
-            "missing required settings (flag or config file): "
-            + ", ".join(f"--{m.replace('_', '-')}" for m in missing)
-        )
+        raise ValueError("missing required settings (flag or config file): "
+                         + ", ".join(f"--{m.replace('_', '-')}" for m in missing))
     if settings["target_year"] is None:
         settings["target_year"] = settings["start_year"] + settings["years"]
     return RunConfig(
@@ -123,20 +119,12 @@ def _build_config(params) -> RunConfig:
         n_years=settings["years"],
         target_year=settings["target_year"],
         multiplier=settings["multiplier"],
-        weights=CriteriaWeights(
-            settings["w_revenue"], settings["w_ratio"], settings["w_urgency"]
-        ),
+        weights=CriteriaWeights(settings["w_revenue"], settings["w_ratio"], settings["w_urgency"]),
         a_threshold=settings["a_threshold"],
         b_threshold=settings["b_threshold"],
         pallet=PalletSpec(settings["pallet_l"], settings["pallet_w"], settings["pallet_h"]),
         include_all=params["include_all"],
     )
-
-
-@click.group()
-def main():
-    """Dimension a distributor's strategic stock from delivery history."""
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
 
 
 # (name, files written, help line) of every subcommand.
@@ -150,33 +138,44 @@ _COMMANDS = (
 )
 
 
-def _command(name, artifacts, help_text):
-    """Add the subcommand `name`: run the pipeline for `artifacts` and list the files written."""
-
-    def run(holdout_year=None, **params):
-        try:
-            files = run_pipeline(_build_config(params), artifacts, holdout_year).files
-        except (ValueError, OSError, OverflowError) as exc:  # InputError and UnpalletizableError included
-            raise click.ClickException(str(exc))
-        for path in files.values():
-            click.echo(f"wrote {path}")
-
-    options = [
-        click.Option([f"--{key.replace('_', '-')}", key], type=kind, help=text)
-        for key, _, _, kind, _, text in _SETTINGS
-    ]
-    options.append(click.Option(["--config", "config_file"], type=str, help="INI config file."))
-    options.append(click.Option(["--all", "include_all"], is_flag=True, default=False,
-                                help="Work on every product, not just the strategic class A sample."))
-    main.add_command(click.Command(name, callback=run, params=options, help=help_text))
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: the usage, one `Error:` line, exit code 2
+        self.exit(2, f"{self.format_usage()}Error: {message}\n")
 
 
-for _row in _COMMANDS:
-    _command(*_row)
-main.commands["backtest"].params.append(click.Option(
-    ["--holdout-year"], type=int, default=None,
-    help="Held-out year to score against (default: last window year)."))
+def main(args=None, prog_name="stockdim", standalone_mode=True):
+    """Run the subcommand `args` (default: the command line) names; `standalone_mode=False` re-raises errors."""
+    parser = _Parser(prog=prog_name, allow_abbrev=False,
+                     description="Dimension a distributor's strategic stock from delivery history.")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, artifacts, help_text in _COMMANDS:
+        command = subparsers.add_parser(name, help=help_text, description=help_text,
+                                        usage="%(prog)s [options]", allow_abbrev=False)
+        for key, _, _, kind, _, text in _SETTINGS:
+            command.add_argument(f"--{key.replace('_', '-')}", type=kind, metavar=kind.__name__.upper(), help=text)
+        command.add_argument("--config", dest="config_file", metavar="PATH", help="INI config file.")
+        command.add_argument("--all", dest="include_all", action="store_true",
+                             help="Work on every product, not just the strategic class A sample.")
+        if name == "backtest":
+            command.add_argument("--holdout-year", type=int, metavar="INT",
+                                 help="Held-out year to score against (default: last window year).")
+        command.set_defaults(artifacts=artifacts, holdout_year=None)
+    params, unknown = parser.parse_known_args(args)
+    if unknown:  # reported by the subcommand, so that the usage shown is its own
+        subparsers.choices[params.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s: %(message)s")
+    try:
+        files = run_pipeline(_build_config(vars(params)), params.artifacts, params.holdout_year).files
+    except (ValueError, OSError, OverflowError) as exc:  # InputError and UnpalletizableError included
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    for path in files.values():
+        print(f"wrote {path}")
 
+
+main.main = main  # stockbench's traced mode calls main.main(args, prog_name=..., standalone_mode=False)
 
 if __name__ == "__main__":
     main()

@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from stockdim import ingestion
+from stockdim.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -17,6 +21,23 @@ def bundled_paths():
         "catalog": DATA_DIR / "catalog.csv",
         "stock": DATA_DIR / "stock.csv",
     }
+
+
+def invoke(args):
+    """Run `stockdim args` in this process: its exit code, its stdout and stderr as one text, and the error it raised.
+
+    The exit code is that of `SystemExit`, 0 if none is raised and 1 for any other uncaught error.
+    """
+    output, exit_code, exception = io.StringIO(), 0, None
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(args)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:  # noqa: BLE001 - returned to the test, as a CLI runner does
+            exit_code, exception = 1, exc
+    return SimpleNamespace(exit_code=exit_code, output=output.getvalue(), exception=exception)
 
 
 def write_csv(path: Path, header: str, rows) -> Path:

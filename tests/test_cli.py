@@ -4,21 +4,16 @@ import gc
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import assert_no_child_left, count_forks, with_an_over_long_field, write_csv
+from conftest import assert_no_child_left, count_forks, invoke, with_an_over_long_field, write_csv
 from stockdim import ingestion, reporting
-from stockdim.cli import main
 from test_parity import GOLDEN
-
-
-def invoke(args):
-    return CliRunner().invoke(main, args)
 
 
 def base_args(paths, out_dir):
@@ -317,11 +312,17 @@ def test_each_subcommand_has_its_help_line_and_options():
         "volume": "Convert strategic quantities into cartons, pallets, and volume.",
         "report": "Run the whole pipeline and write every report plus summary.json.",
     }
-    assert sorted(main.commands) == sorted(help_lines)
-    for name, command in main.commands.items():
-        assert command.help == help_lines[name]
+    usage = invoke(["--help"])
+    assert usage.exit_code == 0, usage.output
+    commands = re.search(r"\{(.*?)\}", usage.output).group(1).split(",")  # as the usage line lists them
+    assert sorted(commands) == sorted(help_lines)
+    for name in commands:
+        result = invoke([name, "--help"])
+        assert result.exit_code == 0, result.output
+        description = result.output.split("\n\n")[1]  # the paragraph after the usage line
+        assert " ".join(description.split()) == help_lines[name]
         holdout = ["--holdout-year"] if name == "backtest" else []
-        assert [opt for param in command.params for opt in param.opts] == (
+        assert re.findall(r"^  (--[\w-]+)", result.output, re.M) == (  # "-h, --help" is not matched
             settings + ["--config", "--all"] + holdout
         ), name
 
@@ -645,6 +646,29 @@ def test_report_in_one_process_writes_the_pinned_bytes(platform, bundled_paths, 
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert hashes == GOLDEN[("report", "--all")]
     assert gc.get_freeze_count() == frozen
+
+
+def test_importing_the_cli_loads_no_click():
+    code = "import stockdim.cli, sys; print('click' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout == "False\n"
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--bogus"], "--bogus"),
+    (["--years", "x"], "'x'"),
+    (["--deliv", "data/deliveries.csv"], "--deliv"),  # an option must be spelled in full
+], ids=["unknown", "not-an-int", "abbreviated"])
+def test_a_usage_error_prints_the_usage_and_one_error_line(args, named):
+    env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "stockdim.cli", "report", *args],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    usage, error = done.stderr.splitlines()
+    assert usage == "usage: stockdim report [options]"
+    assert error.startswith("Error: ") and named in error
 
 
 def test_importing_the_cli_loads_no_pickle_or_process_pool_module():

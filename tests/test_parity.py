@@ -10,9 +10,8 @@ of `report` with the same flags.
 import hashlib
 
 import pytest
-from click.testing import CliRunner
 
-from stockdim.cli import main
+from conftest import invoke
 
 GOLDEN = {
     ("report",): {
@@ -58,7 +57,7 @@ def test_bundled_outputs_match_golden_hashes(command, bundled_paths, tmp_path):
         "--years", "3",
         "--out-dir", str(tmp_path),
     ]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0, result.output
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(GOLDEN[command])

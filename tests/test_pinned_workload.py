@@ -14,10 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import count_forks
-from stockdim.cli import main
+from conftest import count_forks, invoke
 
 STOCKBENCH = Path(__file__).resolve().parent.parent / "stockbench"
 PINNED = json.loads((STOCKBENCH / "pinned.json").read_text(encoding="utf-8"))
@@ -54,7 +52,7 @@ def test_the_smoke_workload_writes_the_pinned_bytes(forked, smoke, tmp_path, mon
     forks = count_forks(monkeypatch) if forked else []
     out = tmp_path / "out"
     for call in workloads.cli_calls(workloads.WORKLOADS["smoke"], inputs, out):
-        result = CliRunner().invoke(main, call)
+        result = invoke(call)
         assert result.exit_code == 0, result.output
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert hashes == PINNED["hashes"]["smoke"]

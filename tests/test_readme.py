@@ -3,10 +3,8 @@ import shlex
 import shutil
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import stockdim
-from stockdim.cli import main
+from conftest import invoke
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,5 +40,5 @@ def test_every_cli_line_and_the_ini_example_of_the_readme_run(tmp_path, monkeypa
     (tmp_path / "run.ini").write_text(ini, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     for args in [shlex.split(line)[1:] for line in lines] + [["plan", "--config", "run.ini"]]:
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, (args, result.output)

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stockdim"
@@ -68,3 +69,18 @@ def test_every_name_a_module_imports_is_read_in_that_module():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in loaded]
     assert unused == []
+
+
+def test_every_module_imports_only_the_standard_library_and_stockdim():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import stays in stockdim
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{path.name}: {root}" for root in roots
+                        if root not in sys.stdlib_module_names and root != "stockdim"]
+    assert outside == []
