@@ -8,7 +8,7 @@ Class A is the strategic sample everything downstream focuses on.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -18,22 +18,22 @@ DEFAULT_A_THRESHOLD = 0.80
 DEFAULT_B_THRESHOLD = 0.95
 
 
-@dataclass(frozen=True)
-class CriteriaWeights:
+class CriteriaWeights(namedtuple("CriteriaWeights", "w_revenue w_ratio w_urgency", defaults=(0.5, 0.3, 0.2))):
     """Relative importance of revenue, quantity-price ratio, and urgency."""
 
-    w_revenue: float = 0.5
-    w_ratio: float = 0.3
-    w_urgency: float = 0.2
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, weight in vars(self).items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, weight in zip(self._fields, self):
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"criteria weight {name} must be finite and non-negative, got {weight}")
         # The exact sum of the decimals the weights read: (0.5, 0.3, 0.2000000001) is not 1.
-        if sum(map(_exact, vars(self).values())) != 1:
-            raise ValueError(
-                f"criteria weights must sum to 1, got {self.w_revenue} + {self.w_ratio} + {self.w_urgency}")
+        if sum(map(_exact, self)) != 1:
+            raise ValueError("criteria weights must sum to 1, got {} + {} + {}".format(*self))
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_WEIGHTS = CriteriaWeights()

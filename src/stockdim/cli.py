@@ -145,12 +145,15 @@ class _Parser(argparse.ArgumentParser):
 
 def main(args=None, prog_name="stockdim", standalone_mode=True):
     """Run the subcommand `args` (default: the command line) names; `standalone_mode=False` re-raises errors."""
+    args = list(sys.argv[1:] if args is None else args)
     parser = _Parser(prog=prog_name, allow_abbrev=False,
                      description="Dimension a distributor's strategic stock from delivery history.")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, artifacts, help_text in _COMMANDS:
         command = subparsers.add_parser(name, help=help_text, description=help_text,
                                         usage="%(prog)s [options]", allow_abbrev=False)
+        if args[:1] != [name]:  # every subcommand is listed, but only the one that runs takes options
+            continue
         for key, _, _, kind, _, text in _SETTINGS:
             command.add_argument(f"--{key.replace('_', '-')}", type=kind, metavar=kind.__name__.upper(), help=text)
         command.add_argument("--config", dest="config_file", metavar="PATH", help="INI config file.")

@@ -32,8 +32,8 @@ import math
 import operator
 import os
 import re
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 from stat import S_ISREG
 from typing import NamedTuple
@@ -62,26 +62,25 @@ class InputError(ValueError):
     """An input file failed validation; the message lists every bad line."""
 
 
-@dataclass(frozen=True)
-class MonthlySeries:
+class MonthlySeries(namedtuple("MonthlySeries", "product_id start_year values")):
     """Contiguous monthly delivery totals for one product.
 
     Covers whole calendar years starting at `start_year`: the value for
-    month m of year y sits at slot (y - start_year) * 12 + (m - 1).
-    Months with no deliveries hold 0.
+    month m of year y sits at slot (y - start_year) * 12 + (m - 1) of the
+    tuple `values`. Months with no deliveries hold 0.
     """
 
-    product_id: str
-    start_year: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.values) == 0 or len(self.values) % 12 != 0:
-            raise ValueError(
-                f"series length must be a positive multiple of 12, got {len(self.values)}"
-            )
+            raise ValueError(f"series length must be a positive multiple of 12, got {len(self.values)}")
         if any(not v >= 0 for v in self.values):  # NaN too
             raise ValueError("series values must be >= 0")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     @property
     def n_years(self) -> int:
@@ -100,18 +99,13 @@ class MonthlySeries:
         return self.values[lo : lo + 12]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """Product identity, price, urgency flag, and packaging geometry."""
+class CatalogEntry(namedtuple("CatalogEntry", "product_id name unit_price urgency boxes_per_carton carton_dims")):
+    """Product identity, price, urgency flag, and packaging geometry (carton_dims: l, w, h in mm)."""
 
-    product_id: str
-    name: str
-    unit_price: float
-    urgency: int
-    boxes_per_carton: int
-    carton_dims: tuple  # (length, width, height) in millimeters
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.unit_price > 0:
             raise ValueError(f"{self.product_id}: unit_price must be > 0")
         if self.urgency not in (0, 1):
@@ -120,6 +114,9 @@ class CatalogEntry:
             raise ValueError(f"{self.product_id}: boxes_per_carton must be >= 1")
         if len(self.carton_dims) != 3 or any(not d > 0 for d in self.carton_dims):
             raise ValueError(f"{self.product_id}: carton dimensions must all be > 0")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class Slots(Mapping):
@@ -323,17 +320,13 @@ def _read_keyed(path, expected_header, build):
 def _catalog_entry(pid, name, price_text, urgency_text, bpc_text, l_text, w_text, h_text):
     if not name:
         raise ValueError("name must not be empty")
-    return CatalogEntry(
-        product_id=pid,
-        name=name,
-        unit_price=_parse_positive_number(price_text, "unit_price"),
-        urgency=_parse_int(urgency_text, 0, "urgency"),
-        boxes_per_carton=_parse_int(bpc_text, 1, "boxes_per_carton"),
-        carton_dims=(
-            _parse_dim(l_text, "carton_l_mm"),
-            _parse_dim(w_text, "carton_w_mm"),
-            _parse_dim(h_text, "carton_h_mm"),
-        ),
+    return CatalogEntry(  # positional fields: faster to build than keywords
+        pid,
+        name,
+        _parse_positive_number(price_text, "unit_price"),
+        _parse_int(urgency_text, 0, "urgency"),
+        _parse_int(bpc_text, 1, "boxes_per_carton"),
+        (_parse_dim(l_text, "carton_l_mm"), _parse_dim(w_text, "carton_w_mm"), _parse_dim(h_text, "carton_h_mm")),
     )
 
 

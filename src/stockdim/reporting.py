@@ -29,7 +29,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from operator import add, sub, truediv
@@ -40,7 +40,6 @@ from .classification import (
     DEFAULT_A_THRESHOLD,
     DEFAULT_B_THRESHOLD,
     DEFAULT_WEIGHTS,
-    CriteriaWeights,
     rank_and_cut,
     score_products,
 )
@@ -48,7 +47,7 @@ from .dimensioning import DEFAULT_STOCK_MONTHS, plan_columns
 from .forecasting import backtests, column_sums, forecast_columns
 from .forking import _in_two
 from .ingestion import LoadedData, parse_inputs
-from .volumetric import DEFAULT_PALLET, PalletSpec, volume_plans
+from .volumetric import DEFAULT_PALLET, volume_plans
 
 CLASSIFICATION_CSV = "classification.csv"
 FORECAST_CSV = "forecast.csv"
@@ -76,38 +75,27 @@ class GapReport(NamedTuple):
     service_rate: float
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "deliveries catalog stock out_dir start_year n_years target_year multiplier"
+                           " weights a_threshold b_threshold pallet include_all", defaults=(
+        DEFAULT_STOCK_MONTHS, DEFAULT_WEIGHTS, DEFAULT_A_THRESHOLD, DEFAULT_B_THRESHOLD, DEFAULT_PALLET, False))):
     """Every knob of a pipeline run, so results reproduce from one object."""
 
-    deliveries: Path
-    catalog: Path
-    stock: Path
-    out_dir: Path
-    start_year: int
-    n_years: int
-    target_year: int
-    multiplier: float = DEFAULT_STOCK_MONTHS
-    weights: CriteriaWeights = DEFAULT_WEIGHTS
-    a_threshold: float = DEFAULT_A_THRESHOLD
-    b_threshold: float = DEFAULT_B_THRESHOLD
-    pallet: PalletSpec = DEFAULT_PALLET
-    include_all: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_years < 1:
             raise ValueError(f"history window must cover at least 1 year, got {self.n_years}")
         if self.target_year <= self.start_year:
-            raise ValueError(
-                f"target year {self.target_year} must be after the window start {self.start_year}"
-            )
+            raise ValueError(f"target year {self.target_year} must be after the window start {self.start_year}")
         if self.target_year > self.start_year + self.n_years:
-            raise ValueError(
-                f"target year {self.target_year} needs year {self.target_year - 1} of history, "
-                f"but the window ends in {self.start_year + self.n_years - 1}"
-            )
+            raise ValueError(f"target year {self.target_year} needs year {self.target_year - 1} of history, "
+                             f"but the window ends in {self.start_year + self.n_years - 1}")
         if not (math.isfinite(self.multiplier) and self.multiplier > 0):
             raise ValueError(f"stock multiplier must be finite and > 0, got {self.multiplier}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def last_history_year(self) -> int:

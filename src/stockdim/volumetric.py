@@ -8,7 +8,7 @@ boxes here, and only here, so rounding error never compounds upstream.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
@@ -32,18 +32,19 @@ class UnpalletizableError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class PalletSpec:
+class PalletSpec(namedtuple("PalletSpec", "usable_length usable_width usable_height", defaults=(1200, 800, 1500))):
     """Usable pallet envelope in millimeters."""
 
-    usable_length: float = 1200
-    usable_width: float = 800
-    usable_height: float = 1500
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, size in vars(self).items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, size in zip(self._fields, self):
             if not (math.isfinite(size) and size > 0):
                 raise ValueError(f"pallet {name} must be finite and > 0, got {size}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_PALLET = PalletSpec()  # EUR footprint, 1.5 m usable stack height

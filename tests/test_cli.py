@@ -671,11 +671,11 @@ def test_a_usage_error_prints_the_usage_and_one_error_line(args, named):
     assert error.startswith("Error: ") and named in error
 
 
-def test_importing_the_cli_loads_no_pickle_or_process_pool_module():
+def test_importing_the_cli_loads_no_pickle_process_pool_dataclasses_or_inspect_module():
     # Every CLI call starts a fresh interpreter, so each module imported at
     # start-up costs every call; the writer child imports pickle on failure only.
-    code = ("import sys, stockdim.cli; "
-            "print(*[m for m in ('pickle', 'multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    code = ("import sys, stockdim.cli; print(*[m for m in ('pickle', 'multiprocessing', 'concurrent.futures', "
+            "'dataclasses', 'inspect') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout.strip() == ""

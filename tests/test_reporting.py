@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 from conftest import write_csv
 from stockdim import (
     BacktestReport,
+    CatalogEntry,
     ClassificationResult,
+    CriteriaWeights,
     ForecastResult,
+    PalletSpec,
     ScoredProduct,
     StockPlan,
     VolumetricPlan,
@@ -134,6 +137,58 @@ def test_output_records_are_named_tuples(record, fields, plain):
         record.product_id = "Q"
     assert record == plain
     assert record[0] == "P" and tuple(record) == plain
+
+
+@pytest.mark.parametrize("record, fields, plain, bad, message", [
+    pytest.param(
+        RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"), 2019, 3, 2022),
+        ("deliveries", "catalog", "stock", "out_dir", "start_year", "n_years", "target_year", "multiplier",
+         "weights", "a_threshold", "b_threshold", "pallet", "include_all"),
+        (Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"), 2019, 3, 2022, 4, (0.5, 0.3, 0.2), 0.8, 0.95,
+         (1200, 800, 1500), False),
+        {"n_years": 0}, "history window must cover at least 1 year, got 0",
+        id="RunConfig",
+    ),
+    pytest.param(
+        PalletSpec(),
+        ("usable_length", "usable_width", "usable_height"),
+        (1200, 800, 1500),
+        {"usable_width": 0}, "pallet usable_width must be finite and > 0, got 0",
+        id="PalletSpec",
+    ),
+    pytest.param(
+        CriteriaWeights(),
+        ("w_revenue", "w_ratio", "w_urgency"),
+        (0.5, 0.3, 0.2),
+        {"w_ratio": 0.4}, "criteria weights must sum to 1, got 0.5 + 0.4 + 0.2",
+        id="CriteriaWeights",
+    ),
+    pytest.param(
+        MonthlySeries("P", 2019, (1,) * 12),
+        ("product_id", "start_year", "values"),
+        ("P", 2019, (1,) * 12),
+        {"values": (1,) * 11}, "series length must be a positive multiple of 12, got 11",
+        id="MonthlySeries",
+    ),
+    pytest.param(
+        CatalogEntry("P", "Drug", 2.5, 1, 10, (400, 300, 200)),
+        ("product_id", "name", "unit_price", "urgency", "boxes_per_carton", "carton_dims"),
+        ("P", "Drug", 2.5, 1, 10, (400, 300, 200)),
+        {"urgency": 2}, "P: urgency must be 0 or 1",
+        id="CatalogEntry",
+    ),
+])
+def test_checked_records_are_named_tuples_that_check_every_build(record, fields, plain, bad, message):
+    kind = type(record)
+    assert kind._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], plain[0])
+    assert record == plain and tuple(record) == plain
+    values = {**record._asdict(), **bad}
+    for build in (lambda: kind(**values), lambda: kind._make(values.values()), lambda: record._replace(**bad)):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 def test_run_config_validation(bundled_paths, tmp_path):
