@@ -38,7 +38,7 @@ from .ingestion import (
     annual_total,
     parse_inputs,
 )
-from .reporting import GapReport, PipelineResult, RunConfig, build_gaps, run_pipeline
+from .reporting import PipelineResult, RunConfig, run_pipeline
 from .volumetric import (
     DEFAULT_PALLET,
     PalletSpec,

@@ -23,17 +23,14 @@ EXACT = "EXACT"
 OVERSTOCK = "OVERSTOCK"
 
 
-_ZERO = Fraction(0)
-
-
 def _decimal_ratio(value):
     """`(numerator, denominator)` of the decimal that the text of `value` reads: 0.1 is 1/10, 1e-05 is 1/10**5."""
     return value.as_integer_ratio() if isinstance(value, Fraction) else Decimal(str(value)).as_integer_ratio()
 
 
 def _exact(value) -> Fraction:
-    """`value` as the Fraction its decimal text reads, without re-wrapping one that already is."""
-    return value if isinstance(value, Fraction) else Fraction(*_decimal_ratio(value))
+    """`value` as the Fraction its decimal text reads."""
+    return Fraction(*_decimal_ratio(value))
 
 
 class StockPlan(NamedTuple):
@@ -71,9 +68,9 @@ def order_quantity(strategic_qty, on_hand):
     if on_hand < 0:
         raise ValueError(f"on_hand must be >= 0, got {on_hand}")
     if on_hand > target:
-        return _ZERO, OVERSTOCK
+        return Fraction(0), OVERSTOCK
     if on_hand == target:
-        return _ZERO, EXACT
+        return Fraction(0), EXACT
     return target - on_hand, UNDERSTOCK
 
 
@@ -105,7 +102,6 @@ def plan_products(needs_by_product, on_hand_by_product, months=DEFAULT_STOCK_MON
     no stock row, and logs it).
     """
     plans = []
-    months = _exact(months)
     for pid in sorted(needs_by_product):
         if pid not in on_hand_by_product:
             raise ValueError(f"no on-hand stock level for product {pid!r}")

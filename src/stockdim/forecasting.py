@@ -87,7 +87,7 @@ def forecast_columns(block: Slots, year: int, flat_offer=False) -> tuple:
     """
     first, width, fit_years = next(iter(block)), block.width, year - block.start_year
     _check_prior(first, block, year)
-    columns = [block.values[slot::width] for slot in range(min(width, 12 * fit_years + 12))]
+    columns = [block.slots[slot::width] for slot in range(min(width, 12 * fit_years + 12))]
     totals = column_sums(columns[12 * fit_years - 12 : 12 * fit_years])
     naive = [*map(truediv, totals, repeat(12))]
     if fit_years >= MIN_FIT_YEARS:

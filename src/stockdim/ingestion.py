@@ -122,15 +122,15 @@ class CatalogEntry(namedtuple("CatalogEntry", "product_id name unit_price urgenc
 class Slots(Mapping):
     """The monthly delivery totals of products of one window, laid end to end as the fold adds them.
 
-    Month m (1-12) of year y of the i-th product is `values[i * width +
+    Month m (1-12) of year y of the i-th product is `slots[i * width +
     (y - start_year) * 12 + m - 1]`, so month slot k of every product is
-    the strided column `values[k::width]`. As a read-only mapping it takes
+    the strided column `slots[k::width]`. As a read-only mapping it takes
     each product_id, in order, to a `MonthlySeries` built on each lookup.
     """
 
-    def __init__(self, ids, start_year: int, n_years: int, values: list):
+    def __init__(self, ids, start_year: int, n_years: int, slots: list):
         self.start_year, self.end_year, self.width = start_year, start_year + n_years - 1, 12 * n_years
-        self.values, self.offsets = values, {pid: i * 12 * n_years for i, pid in enumerate(ids)}
+        self.slots, self.offsets = slots, {pid: i * 12 * n_years for i, pid in enumerate(ids)}
 
     @classmethod
     def of(cls, series):
@@ -142,7 +142,7 @@ class Slots(Mapping):
 
     def __getitem__(self, pid) -> MonthlySeries:
         at = self.offsets[pid]
-        return MonthlySeries(pid, self.start_year, tuple(self.values[at : at + self.width]))
+        return MonthlySeries(pid, self.start_year, tuple(self.slots[at : at + self.width]))
 
     def __iter__(self):
         return iter(self.offsets)
@@ -152,15 +152,15 @@ class Slots(Mapping):
 
     def blocks(self, ids, size: int):
         """The slots of `ids`, each held here, in the order given, `size` products at a time."""
-        width, values = self.width, self.values
+        width, slots = self.width, self.slots
         for part in (ids[lo : lo + size] for lo in range(0, len(ids), size)):
             yield Slots(part, self.start_year, width // 12, [
-                *itertools.chain.from_iterable(values[at : at + width] for at in map(self.offsets.__getitem__, part))])
+                *itertools.chain.from_iterable(slots[at : at + width] for at in map(self.offsets.__getitem__, part))])
 
     def totals(self, ids, first_year: int, last_year: int) -> list:
         """The deliveries of each of `ids` from `first_year` to `last_year`, both covered, added up."""
-        lo, hi, values = 12 * (first_year - self.start_year), 12 * (last_year - self.start_year + 1), self.values
-        return [sum(values[at + lo : at + hi]) for at in map(self.offsets.__getitem__, ids)]
+        lo, hi, slots = 12 * (first_year - self.start_year), 12 * (last_year - self.start_year + 1), self.slots
+        return [sum(slots[at + lo : at + hi]) for at in map(self.offsets.__getitem__, ids)]
 
 
 class LoadedData(NamedTuple):

@@ -30,11 +30,10 @@ import math
 import os
 import tempfile
 from collections import namedtuple
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import add, sub, truediv
 from pathlib import Path
-from typing import NamedTuple
 
 from .classification import (
     DEFAULT_A_THRESHOLD,
@@ -58,21 +57,6 @@ GAP_CSV = "gap.csv"
 SUMMARY_JSON = "summary.json"
 REPORT = (CLASSIFICATION_CSV, FORECAST_CSV, PLAN_CSV, VOLUME_CSV, GAP_CSV, SUMMARY_JSON)
 BLOCK = 512  # products per columnar pass: long columns for `map`, while a block's rows stay small
-
-
-class GapReport(NamedTuple):
-    """Demand versus offer for one product and period, the headline KPI.
-
-    `gap` keeps its sign (negative means the offer exceeded demand);
-    `service_rate` caps the offer at demand so it stays in [0, 1].
-    """
-
-    product_id: str
-    period: str
-    demand: float
-    offered: float
-    gap: float
-    service_rate: float
 
 
 class RunConfig(namedtuple("RunConfig", "deliveries catalog stock out_dir start_year n_years target_year multiplier"
@@ -102,9 +86,6 @@ class RunConfig(namedtuple("RunConfig", "deliveries catalog stock out_dir start_
         return self.start_year + self.n_years - 1
 
 
-_gap_report = partial(tuple.__new__, GapReport)  # a GapReport from a tuple of its fields, built in C
-
-
 def load_inputs(config: RunConfig) -> LoadedData:
     return parse_inputs(config.deliveries, config.catalog, config.stock, config.start_year, config.n_years)
 
@@ -116,7 +97,8 @@ def gap_blocks(data: LoadedData, product_ids, config: RunConfig):
     months added left to right from 0) then its months. The offer is
     what the planning method would have put on the table for that year
     with no lookahead: `forecast_columns`, seasonal where `MIN_FIT_YEARS`
-    earlier years exist, flat otherwise. A rate is `min(o, d) / d`, or 1.0 where d is 0.
+    earlier years exist, flat otherwise. A gap `d - o` keeps its sign (negative
+    where the offer exceeded demand); a rate is `min(o, d) / d`, or 1.0 where d is 0.
     """
     year = config.last_history_year
     periods = (str(year), *(f"{year}-{month:02d}" for month in range(1, 13)))
@@ -126,13 +108,6 @@ def gap_blocks(data: LoadedData, product_ids, config: RunConfig):
         yield (periods, [*block], demand, offered,
                [[*map(sub, d, o)] for d, o in zip(demand, offered)],
                [[o / d if o < d else 1.0 for o, d in zip(os, ds)] for ds, os in zip(demand, offered)])
-
-
-def build_gaps(data: LoadedData, product_ids, config: RunConfig):
-    """Yield one `GapReport` per product and period of `gap_blocks`, annual then monthly."""
-    for periods, ids, *fields in gap_blocks(data, product_ids, config):
-        for pid, *values in zip(ids, *(zip(*field) for field in fields)):
-            yield from map(_gap_report, zip(repeat(pid), periods, *values))
 
 
 def _id_field(pid) -> str:

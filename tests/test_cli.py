@@ -499,16 +499,20 @@ def test_a_volume_too_large_for_a_float_is_one_error_line(command, tiny_inputs, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("args, unused", [
-    (["classify"], ("plan_columns", "build_gaps", "backtests")),
+# A subcommand and the `reporting` stages it must not run.
+UNUSED_STAGES = [
+    (["classify"], ("plan_columns", "volume_plans", "backtests")),
     (["classify"], ("forecast_columns", "gap_blocks")),
-    (["forecast"], ("plan_columns", "build_gaps")),
+    (["forecast"], ("plan_columns", "volume_plans")),
     (["forecast"], ("gap_blocks", "backtests")),
-    (["backtest"], ("plan_columns", "build_gaps")),
+    (["backtest"], ("plan_columns", "volume_plans")),
     (["backtest"], ("gap_blocks",)),
     (["plan"], ("volume_plans",)),
     (["plan", "--all"], ("rank_and_cut",)),
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("args, unused", UNUSED_STAGES, ids=" ".join)
 def test_single_artifact_subcommands_run_only_their_stages(args, unused, bundled_paths, tmp_path, monkeypatch):
     def must_not_run(*_args, **_kwargs):
         raise AssertionError(f"`{' '.join(args)}` ran a stage it does not need")
@@ -517,6 +521,23 @@ def test_single_artifact_subcommands_run_only_their_stages(args, unused, bundled
         monkeypatch.setattr(reporting, name, must_not_run)
     result = invoke(args + base_args(bundled_paths, tmp_path))
     assert result.exit_code == 0, result.exception
+
+
+def test_every_stage_a_subcommand_must_not_run_is_run_by_report_or_backtest(bundled_paths, tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")  # one process, so that no call is hidden in a forked child
+    calls = dict.fromkeys(sorted({name for _, unused in UNUSED_STAGES for name in unused}), 0)
+
+    def counted(name, stage):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(reporting, name, counted(name, getattr(reporting, name)))
+    for command in ("report", "backtest"):
+        assert invoke([command, "--all"] + base_args(bundled_paths, tmp_path)).exit_code == 0
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 @pytest.mark.usefixtures("two_cpus")

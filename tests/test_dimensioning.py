@@ -73,6 +73,12 @@ def test_plan_products_requires_stock_level():
         plan_products({"P1": 10}, {})
 
 
+def test_plan_products_names_a_bad_horizon_as_it_was_given():
+    with pytest.raises(ValueError) as exc:
+        plan_products({"P1": 10}, {"P1": 0}, months=-0.5)
+    assert str(exc.value) == "stock months must be > 0, got -0.5"
+
+
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_equation_chain_is_exact(total, on_hand):
     need = Fraction(total, 12)

@@ -247,6 +247,12 @@ def test_every_input_dict_holds_the_cataloged_products_in_id_order(tmp_path):
     assert on_hand == {"A": 3, "B": 2, "C": 0, "P1": 1}
 
 
+def test_series_is_a_mapping_whose_values_are_its_lookups(bundled_paths):
+    data = parse_inputs(*bundled_paths.values(), 2019, 3)
+    assert list(data.series.values()) == [data.series[pid] for pid in data.series]
+    assert dict(data.series.items()) == {pid: data.series[pid] for pid in data.series}
+
+
 @pytest.mark.parametrize("name", ["deliveries", "catalog", "stock"])
 def test_an_input_that_is_not_a_regular_file_is_refused(name, tiny_inputs):
     read_end, write_end = os.pipe()

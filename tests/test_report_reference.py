@@ -1,10 +1,12 @@
-"""forecast.csv, gap.csv, plan.csv, volume.csv and summary.json against an exact reference.
+"""Every report but backtest.csv against an exact reference.
 
 The reference is computed from the generated input rows alone, with
 `Fraction`, and the files are read back with `csv` and `json` alone. A
 value written as one correctly rounded float is compared with
 `repr(float(exact))`. The fields in `FLOAT_RULE_FIELDS` are not that
 value: they follow the documented float rule, and are checked by it.
+classification.csv's scores and shares follow the documented float
+rule too, and its ABC cut is exact on the decimals they read.
 The memory that the block pass of forecast.csv and gap.csv keeps is
 checked too.
 """
@@ -21,10 +23,11 @@ from itertools import permutations
 from operator import add
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stockdim.reporting import (
+    CLASSIFICATION_CSV,
     FORECAST_CSV,
     GAP_CSV,
     PLAN_CSV,
@@ -44,13 +47,14 @@ CATALOG_HEADER = ("product_id", "name", "unit_price", "urgency", "boxes_per_cart
 IDS = st.text(alphabet='ab,"\n', min_size=1, max_size=4).filter(lambda pid: pid == pid.strip())
 
 
-def write_inputs(directory, ids, deliveries, n_years, catalog=None, stock=None, multiplier=4):
+def write_inputs(directory, ids, deliveries, n_years, catalog=None, stock=None, multiplier=4, prices=None):
     """Write the three input files and return the `RunConfig` of a `--all` run over them.
 
     `deliveries` holds `(pid, slot, quantity, with_day)`, slot 0 being
     January of `START`. `catalog` maps an id to its `(boxes_per_carton,
-    carton dims)`, by default 10 cartons of 300 mm cubed; `stock` holds
-    the `(pid, on_hand)` rows, by default 5 boxes of each id but the last.
+    carton dims)`, by default 10 cartons of 300 mm cubed, and `prices` to
+    its `(unit_price text, urgency)`, by default `("2.0", 0)`; `stock`
+    holds the `(pid, on_hand)` rows, by default 5 boxes of each id but the last.
     """
     def write(name, header, rows):
         with open(directory / name, "w", newline="", encoding="utf-8") as fh:
@@ -59,13 +63,14 @@ def write_inputs(directory, ids, deliveries, n_years, catalog=None, stock=None, 
             writer.writerows(rows)
         return directory / name
 
-    dates, cartons = {False: "{}-{:02d}", True: "{}-{:02d}-15"}, catalog or {}
+    dates, cartons, prices = {False: "{}-{:02d}", True: "{}-{:02d}-15"}, catalog or {}, prices or {}
     return RunConfig(
         write("deliveries.csv", ("product_id", "date", "quantity"),
               [(pid, dates[day].format(START + slot // 12, slot % 12 + 1), quantity)
                for pid, slot, quantity, day in deliveries]),
         write("catalog.csv", CATALOG_HEADER,
-              [(pid, "Item", 2.0, 0, bpc, *dims) for pid in ids for bpc, dims in [cartons.get(pid, (10, (300,) * 3))]]),
+              [(pid, "Item", *prices.get(pid, ("2.0", 0)), bpc, *dims)
+               for pid in ids for bpc, dims in [cartons.get(pid, (10, (300,) * 3))]]),
         write("stock.csv", ("product_id", "on_hand"), [(pid, 5) for pid in ids[:-1]] if stock is None else stock),
         directory / "out", START, n_years, START + n_years, multiplier=multiplier, include_all=True,
     )
@@ -127,6 +132,89 @@ def test_forecast_and_gap_files_are_the_exact_values_rounded_once(case):
         expected_gaps += [gap_row(pid, f"{year}-{m:02d}", d, o) for m, d, o in zip(range(1, 13), demands, offers)]
     assert forecasts == expected_forecasts
     assert gaps == expected_gaps
+
+
+# Unit prices as catalog.csv texts: decimal fractions and whole numbers, one written bare and one with a point.
+PRICES = ("0.1", "2.5", "12", "0.333", "7.0")
+
+
+def scored(totals, prices):
+    """`(score, revenue, pid)` of each product by the documented float rule, in id order.
+
+    Revenue is T * price and the ratio T / price, with T the window total;
+    each criterion is min-max normalized (a constant one to 0), and the
+    score is 0.5 * revenue + 0.3 * ratio + 0.2 * urgency, normalized.
+    """
+    def normalized(values):
+        lo, hi = min(values), max(values)
+        return [0.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
+
+    pids = sorted(totals)
+    revenues = [totals[pid] * float(prices[pid][0]) for pid in pids]
+    ratios = [totals[pid] / float(prices[pid][0]) for pid in pids]
+    urgencies = [float(prices[pid][1]) for pid in pids]
+    return [(0.5 * r + 0.3 * q + 0.2 * u, revenue, pid) for revenue, pid, r, q, u in zip(
+        revenues, pids, normalized(revenues), normalized(ratios), normalized(urgencies))]
+
+
+def classification_rows(totals, prices):
+    """classification.csv's rows: ranked by (-score, -revenue, id), cut exactly at 0.8 and 0.95 of the score total.
+
+    `cumulative_share` is the float running score over the float total,
+    both added left to right. A product's class is that of the exact share
+    (each score the decimal its repr reads) accumulated before it.
+    """
+    ordered = sorted(scored(totals, prices), key=lambda row: (-row[0], -row[1], row[2]))
+    running, shares = 0.0, []
+    for score, _, _ in ordered:
+        running += score
+        shares.append(running)
+    exact = [Fraction(repr(score)) for score, _, _ in ordered]
+    a_cut, b_cut = Fraction("0.8") * sum(exact), Fraction("0.95") * sum(exact)
+    rows, before = [], Fraction(0)
+    for rank, ((score, _, pid), share, units) in enumerate(zip(ordered, shares, exact), start=1):
+        abc = "A" if before < a_cut else "B" if before < b_cut else "C"
+        before += units
+        rows.append([pid, repr(score), str(rank), repr(share / running), abc, "true" if abc == "A" else "false"])
+    return rows
+
+
+def window_totals(ids, deliveries):
+    totals = dict.fromkeys(ids, 0)
+    for pid, _, quantity, _ in deliveries:
+        totals[pid] += quantity
+    return totals
+
+
+@st.composite
+def classification_sets(draw):
+    """1 to 3 years, 2 to 6 products of drawn prices and urgencies, the first never delivered."""
+    n_years = draw(st.integers(1, 3))
+    ids = draw(st.lists(IDS, min_size=2, max_size=6, unique=True))
+    prices = {pid: (draw(st.sampled_from(PRICES)), draw(st.sampled_from((0, 1)))) for pid in ids}
+    deliveries = draw(st.lists(st.tuples(
+        st.sampled_from(ids[1:]), st.integers(0, 12 * n_years - 1), st.integers(0, 10**6), st.booleans(),
+    ), max_size=30))
+    return n_years, ids, prices, deliveries
+
+
+@settings(max_examples=80, deadline=None)
+@given(classification_sets().filter(  # a run where every score is 0 is refused: nothing discriminates
+    lambda case: any(score > 0 for score, _, _ in scored(window_totals(case[1], case[3]), case[2]))))
+# c and b both score 0.2: c, of the larger revenue, ranks first although b's id sorts first
+@example((1, ["a", "b", "c", "d"], {"a": ("2.5", 0), "b": ("12", 1), "c": ("12", 0), "d": ("12", 1)},
+          [("c", 0, 5, False), ("d", 11, 20, True)]))
+# the float share before b reads 0.8, yet is below 4/5 exactly: b is in class A
+@example((2, ["a", "b", "c", "d"], {"a": ("0.333", 0), "b": ("7.0", 1), "c": ("7.0", 0), "d": ("12", 0)},
+          [("b", 0, 1, False), ("c", 13, 4, True), ("d", 23, 7, False)]))
+def test_classification_file_is_the_documented_score_and_the_exact_cut(case):
+    n_years, ids, prices, deliveries = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_inputs(Path(tmp), ids, deliveries, n_years, prices=prices)
+        run_pipeline(config, (CLASSIFICATION_CSV,))
+        rows = read_csv(config.out_dir / CLASSIFICATION_CSV)
+    assert rows == [["product_id", "score", "rank", "cumulative_share", "abc_class", "strategic"],
+                    *classification_rows(window_totals(ids, deliveries), prices)]
 
 
 # Written by today's float rule, not as the exact value rounded once:

@@ -35,13 +35,11 @@ from stockdim.reporting import (
     BACKTEST_CSV,
     BLOCK,
     GAP_CSV,
-    GapReport,
     LoadedData,
     PLAN_CSV,
     REPORT,
     RunConfig,
     backtest_csv,
-    build_gaps,
     classification_csv,
     forecast_csv,
     gap_blocks,
@@ -54,6 +52,7 @@ from stockdim.reporting import (
 from stockdim.volumetric import DEFAULT_PALLET, UnpalletizableError
 
 CSV_NAMES = ("classification.csv", "forecast.csv", "plan.csv", "volume.csv", "gap.csv")
+GAP_HEADER = ("product_id", "period", "demand", "offered", "gap", "service_rate")
 
 
 def make_config(paths, out_dir, **overrides):
@@ -75,21 +74,24 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def gap_rows(blocks):
+    """The `GAP_HEADER` rows of `gap_blocks`, one per product and period, annual then monthly, as gap.csv holds them."""
+    return [(pid, period, *(field[p][i] for field in fields))
+            for periods, ids, *fields in blocks for i, pid in enumerate(ids) for p, period in enumerate(periods)]
+
+
 def test_gap_kpi_conventions():
     # One earlier year only, so 2021 is offered the flat 1200 / 12 = 100 boxes a month.
     series = MonthlySeries("P", 2020, (100,) * 12 + (100, 250, 40) + (0,) * 9)
     config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
                        start_year=2020, n_years=2, target_year=2022)
-    rows = list(build_gaps(LoadedData(series=Slots.of([series]), catalog={}, on_hand={}), ["P"], config))
-    met, short, over, idle = rows[1:5]
-    assert met.gap == 0 and met.service_rate == 1.0
-    assert short.gap == 150 and short.service_rate == 0.4
-    assert over.gap == -60 and over.service_rate == 1.0  # the offer counts up to demand only
-    assert idle.gap == -100 and idle.service_rate == 1.0  # no demand: fully served, offer in excess
-    with pytest.raises(AttributeError):
-        met.gap = 1
-    assert short == ("P", "2021-02", 250, 100.0, 150.0, 0.4) and type(short) is GapReport
-    assert GapReport._fields == ("product_id", "period", "demand", "offered", "gap", "service_rate")
+    rows = gap_rows(gap_blocks(LoadedData(series=Slots.of([series]), catalog={}, on_hand={}), ["P"], config))
+    met, short, over, idle = ((gap, service_rate) for *_, gap, service_rate in rows[1:5])
+    assert met == (0, 1.0)
+    assert short == (150, 0.4)
+    assert over == (-60, 1.0)  # the offer counts up to demand only
+    assert idle == (-100, 1.0)  # no demand: fully served, offer in excess
+    assert rows[2] == ("P", "2021-02", 250, 100.0, 150.0, 0.4)
 
 
 @pytest.mark.parametrize("record, fields, plain", [
@@ -255,9 +257,9 @@ def test_gap_rows_cover_annual_and_monthly_granularity(bundled_paths, tmp_path):
     assert "2021" in periods and "2021-01" in periods and "2021-12" in periods
     n_products = len({r["product_id"] for r in rows})
     assert len(rows) == 13 * n_products
-    for g in build_gaps(result.data, result.product_ids, result.config):
-        assert g.gap == g.demand - g.offered
-        assert 0.0 <= g.service_rate <= 1.0
+    for _, _, demand, offered, gap, service_rate in gap_rows(result.gaps):
+        assert gap == demand - offered
+        assert 0.0 <= service_rate <= 1.0
 
 
 def test_gap_csv_and_backtest_csv_agree_on_every_bundled_product(bundled_paths, tmp_path):
@@ -280,15 +282,15 @@ def test_mean_monthly_gap_is_the_seasonal_backtest_mae(values):
     config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
                        start_year=2019, n_years=series.n_years, target_year=series.end_year + 1)
     data = LoadedData(catalog={}, series=Slots.of([series]), on_hand={})
-    annual, *months = build_gaps(data, ["P"], config)
-    assert [g.period for g in months] == [f"{series.end_year}-{m:02d}" for m in range(1, 13)]
+    annual, *months = gap_rows(gap_blocks(data, ["P"], config))
+    assert [period for _, period, *_ in months] == [f"{series.end_year}-{m:02d}" for m in range(1, 13)]
     report = backtest(series, series.end_year)
-    assert reduce(add, (abs(g.gap) for g in months), 0) / 12 == report.mae_seasonal
+    assert reduce(add, (abs(gap) for *_, gap, _ in months), 0) / 12 == report.mae_seasonal
 
 
 def old_gap_row(pid, period, demand, offered):
     rate = 1.0 if demand <= 0 else min(offered, demand) / demand
-    return GapReport(pid, period, demand, offered, demand - offered, rate)
+    return pid, period, demand, offered, demand - offered, rate
 
 
 MONTHS_OF_DEMAND = st.lists(st.integers(0, 10**6) | st.just(0), min_size=12, max_size=12)
@@ -310,7 +312,7 @@ def assert_gap_rows_are_the_old_gap_rows(histories):
     config = RunConfig(Path("d.csv"), Path("c.csv"), Path("s.csv"), Path("out"),
                        start_year=2019, n_years=n_years, target_year=year + 1)
     expected = []
-    for pid in sorted(series):  # the offer of the year, as build_gaps documents it
+    for pid in sorted(series):  # the offer of the year, as gap_blocks documents it
         if n_years - 1 >= MIN_FIT_YEARS:
             offers = forecast_year(series[pid], year)[1].monthly_values
         else:
@@ -319,12 +321,10 @@ def assert_gap_rows_are_the_old_gap_rows(histories):
         expected.append(old_gap_row(pid, str(year), sum(demands), reduce(add, offers, 0)))
         expected.extend(old_gap_row(pid, f"{year}-{m:02d}", d, o) for m, d, o in zip(range(1, 13), demands, offers))
     data = LoadedData(catalog={}, series=Slots.of([*series.values()]), on_hand={})
-    rows = list(build_gaps(data, reversed(list(series)), config))
-    assert rows == expected
-    assert {type(row) for row in rows} == {GapReport}
+    assert gap_rows(gap_blocks(data, reversed(list(series)), config)) == expected
     fh = io.StringIO()
     gap_csv(gap_blocks(data, reversed(list(series)), config), fh)
-    assert fh.getvalue() == _csv_writer_text(GapReport._fields, expected)
+    assert fh.getvalue() == _csv_writer_text(GAP_HEADER, expected)
 
 
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(
@@ -540,7 +540,7 @@ def _render_case(name):
     rows = [(pid, period, *(field[p][i] for field in fields))
             for i, pid in pids for p, period in enumerate(["2021", *(f"2021-{m:02d}" for m in range(1, 13))])]
     periods = ("2021", *(f"2021-{m:02d}" for m in range(1, 13)))
-    return gap_csv, [(periods, [pid for _, pid in pids], *fields)], _csv_writer_text(GapReport._fields, rows)
+    return gap_csv, [(periods, [pid for _, pid in pids], *fields)], _csv_writer_text(GAP_HEADER, rows)
 
 
 @pytest.mark.parametrize("name", ["classification", "forecast", "backtest", "plan", "volume", "gap"])
@@ -563,7 +563,7 @@ def test_gap_render_matches_csv_writer_on_any_id_and_float(year, products):
     fh = io.StringIO()
     gap_csv([(periods, ids, *fields)], fh)
     rows = [(pid, period, *row) for pid, values in products for period, row in zip(periods, values)]
-    assert fh.getvalue() == _csv_writer_text(GapReport._fields, rows)
+    assert fh.getvalue() == _csv_writer_text(GAP_HEADER, rows)
 
 
 @given(
