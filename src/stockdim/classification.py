@@ -4,12 +4,15 @@ Products are scored on three criteria: sales revenue, the quantity-price
 ratio, and the urgency flag. Each criterion is min-max normalized across
 the product set so the weighted sum stays in [0, 1], then products are
 ranked descending and cut into A/B/C classes by cumulative score share.
-Class A is the strategic sample everything downstream focuses on.
+Class A is the strategic sample everything downstream focuses on. The
+cut is found binary first, decimal where the binary margin does not clear.
 """
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, attrgetter, mul, sub, truediv
 from typing import NamedTuple
 
 from .dimensioning import _decimal_ratio, _exact
@@ -63,7 +66,7 @@ def _min_max(values):
     lo, hi = min(values), max(values)
     if hi == lo:
         return [0.0] * len(values)
-    return [(v - lo) / (hi - lo) for v in values]
+    return [*map(truediv, map(sub, values, repeat(lo)), repeat(hi - lo))]
 
 
 def score_products(boxes_by_product, catalog, weights: CriteriaWeights = DEFAULT_WEIGHTS):
@@ -72,30 +75,53 @@ def score_products(boxes_by_product, catalog, weights: CriteriaWeights = DEFAULT
     `catalog` maps product_id to CatalogEntry. Revenue is total delivered
     boxes times unit price; the quantity-price ratio is total boxes
     divided by unit price. Returns one ScoredProduct per input product,
-    in product_id order.
+    in product_id order. Each criterion is a column over all products.
     """
     if not boxes_by_product:
         raise ValueError("cannot score an empty product set")
     pids = sorted(boxes_by_product)
-    revenues, ratios, urgencies = [], [], []
-    for pid in pids:
-        if pid not in catalog:
-            raise ValueError(f"no catalog entry for product {pid!r}")
-        entry, boxes = catalog[pid], boxes_by_product[pid]
-        revenues.append(boxes * entry.unit_price)
-        ratios.append(boxes / entry.unit_price)
-        urgencies.append(float(entry.urgency))
-    norms = zip(_min_max(revenues), _min_max(ratios), _min_max(urgencies))
-    return [ScoredProduct(pid, revenue, ratio, int(urgency),
-                          weights.w_revenue * r + weights.w_ratio * q + weights.w_urgency * u)
-            for pid, revenue, ratio, urgency, (r, q, u) in zip(pids, revenues, ratios, urgencies, norms)]
+    if missing := [pid for pid in pids if pid not in catalog]:
+        raise ValueError(f"no catalog entry for product {missing[0]!r}")
+    entries, boxes = [*map(catalog.__getitem__, pids)], [*map(boxes_by_product.__getitem__, pids)]
+    prices, urgencies = [entry.unit_price for entry in entries], [float(entry.urgency) for entry in entries]
+    revenues, ratios = [*map(mul, boxes, prices)], [*map(truediv, boxes, prices)]
+    r, q, u = _min_max(revenues), _min_max(ratios), _min_max(urgencies)
+    scores = map(add, map(add, map(mul, repeat(weights.w_revenue), r), map(mul, repeat(weights.w_ratio), q)),
+                 map(mul, repeat(weights.w_urgency), u))
+    return [*map(tuple.__new__, repeat(ScoredProduct), zip(pids, revenues, ratios, map(int, urgencies), scores))]
 
 
-def rank_and_cut(
-    scored,
-    a_threshold: float = DEFAULT_A_THRESHOLD,
-    b_threshold: float = DEFAULT_B_THRESHOLD,
-):
+def _units(value: float) -> int:
+    """`value` in units of 2**-1074, of which every float is a whole number."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << 1075 - denominator.bit_length()
+
+
+def _class_sizes(scores, cumulative, thresholds):
+    """For each threshold p/q, how many ranked items have an exact decimal share before them below p/q.
+
+    Binary first: a score's decimal is within 2**-53 times it plus 2**-1075 of it, and a float sum within
+    n * 2**-53 / (1 - n * 2**-53) times its exact value of it. So (n below 2**51) where the float sum before
+    an item is further than twice (n + 1) * 2**-52 times the float total plus n * 2**-1075 from p/q of the
+    float total, the decimals put it on the same side. Decimal where that margin does not clear.
+    """
+    n, total, sizes = len(cumulative), cumulative[-1], []
+    if isinstance(cumulative[0], float) and math.isfinite(total):  # else a sum may not be a float
+        before, total = [0.0, *cumulative[:-1]], _units(total)
+        for p, q in thresholds:
+            size = bisect_left(before, p * total, key=lambda running: _units(running) * q)
+            if all(abs(_units(running) * q - p * total) << 52 > q * (total * (2 * n + 2) + (n << 52))
+                   for running in before[max(size - 1, 0) : size + 1]):
+                sizes.append(size)
+    if len(sizes) == len(thresholds):
+        return sizes
+    ratios = [*map(_decimal_ratio, scores)]
+    scale = math.lcm(*(d for _, d in ratios))
+    before = [*accumulate((units * (scale // d) for units, d in ratios), initial=0)]
+    return [bisect_left(before, -(-p * before[-1] // q), hi=n) for p, q in thresholds]
+
+
+def rank_and_cut(scored, a_threshold: float = DEFAULT_A_THRESHOLD, b_threshold: float = DEFAULT_B_THRESHOLD):
     """Rank scored products descending and cut A/B/C classes.
 
     Class A is the minimal ranked prefix whose cumulative score share
@@ -104,39 +130,27 @@ def rank_and_cut(
     product_id ascending so runs are reproducible bit for bit.
     """
     if not 0 < a_threshold <= b_threshold <= 1:
-        raise ValueError(
-            f"need 0 < a_threshold <= b_threshold <= 1, got {a_threshold}, {b_threshold}"
-        )
+        raise ValueError(f"need 0 < a_threshold <= b_threshold <= 1, got {a_threshold}, {b_threshold}")
     if not scored:
         raise ValueError("cannot rank an empty product set")
     for item in scored:
         if not math.isfinite(item.score) or item.score < 0:
             raise ValueError(f"{item.product_id}: score must be finite and >= 0, got {item.score}")
 
-    ordered = sorted(scored, key=lambda s: (-s.score, -s.revenue, s.product_id))
-    cumulative = list(accumulate(s.score for s in ordered))  # left to right, as `sum` added before Python 3.12
+    ordered = sorted(scored, key=attrgetter("product_id"))  # then stable sorts: score, revenue descending, id
+    ordered.sort(key=attrgetter("revenue"), reverse=True)
+    ordered.sort(key=attrgetter("score"), reverse=True)
+    scores = [s.score for s in ordered]
+    cumulative = list(accumulate(scores))  # left to right, as `sum` added before Python 3.12
     total = cumulative[-1]  # so the last cumulative_share is 1.0
     if total == 0:
         raise ValueError("no discriminating criterion: every product scored 0")
-    # The class is chosen exactly: each score and threshold is the decimal
-    # its text reads (0.8 is 4/5, not the float just above it), and over a
-    # common denominator each score is an integer number of units. Being
-    # below a share p/q of the total is being below ceil(p * total / q)
-    # units. `cumulative_share` keeps the float running share.
-    ratios = [_decimal_ratio(s.score) for s in ordered]
-    scale = math.lcm(*(d for _, d in ratios))
-    units = [n * (scale // d) for n, d in ratios]
-    total_units = sum(units)
-    a_units, b_units = (-(-n * total_units // d) for n, d in map(_decimal_ratio, (a_threshold, b_threshold)))
-
-    results = []
-    before = 0
-    for rank, (item, unit, running) in enumerate(zip(ordered, units, cumulative), start=1):
-        # The class of an item depends on the share accumulated *before* it:
-        # the item that first pushes the share past a threshold still
-        # belongs to the class below that threshold (minimal-prefix rule).
-        abc = "A" if before < a_units else "B" if before < b_units else "C"
-        before += unit
-        results.append(ClassificationResult(item.product_id, item.revenue, item.qty_price_ratio, item.score, rank,
-                                            running / total, abc, abc == "A"))
-    return results
+    # The class is chosen exactly: each score and threshold is the decimal its text reads (0.8 is 4/5). The
+    # class of an item depends on the share accumulated *before* it: the item that first pushes the share past
+    # a threshold still belongs to the class below it (minimal-prefix rule). `cumulative_share` stays a float.
+    thresholds = [*map(_decimal_ratio, (a_threshold, b_threshold))]
+    a_size, b_size = _class_sizes(scores, cumulative, thresholds)
+    classes = ["A"] * a_size + ["B"] * (b_size - a_size) + ["C"] * (len(ordered) - b_size)
+    return [tuple.__new__(ClassificationResult, (item.product_id, item.revenue, item.qty_price_ratio, item.score,
+                                                 rank, running / total, abc, abc == "A"))
+            for rank, (item, running, abc) in enumerate(zip(ordered, cumulative, classes), start=1)]

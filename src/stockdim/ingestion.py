@@ -3,12 +3,14 @@
 Three CSV files feed the planner: a delivery history (one row per delivery
 line), a product catalog (price, urgency, packaging geometry) and the
 boxes on hand. Parsing is strict: every bad row is reported with its file
-and line number, and nothing is dropped silently. One row check,
-`_cells`, skips blank rows and names wrong field counts and empty ids in
-all three; integers and date parts are ASCII digits (`_INTEGER`). Each
-input must be a regular file. `parse_inputs` returns `LoadedData`: the
-fold's month slots as `Slots`, a mapping that builds a product's
-`MonthlySeries` only when it is looked up, and the catalog and stock.
+and line number, and nothing is dropped silently. One row check, `_cells`,
+skips blank rows and names wrong field counts in all three, and
+`_product_id` empty ids; integers and date parts are ASCII digits
+(`_INTEGER`). Each input must be a regular file, and a NUL byte in one is
+refused on every Python (`_texts`). Catalog and stock cells are checked
+once per distinct text of a column (`_read_keyed`). `parse_inputs` returns
+`LoadedData`: the fold's month slots as `Slots`, a mapping that builds a
+product's `MonthlySeries` only when it is looked up, and the catalog and stock.
 
 The delivery file is read in pieces of about `_CHUNK` bytes cut at line
 ends; a lone CR ends a line, as csv reads it. If every piece is plain (its
@@ -43,16 +45,8 @@ from .forking import _in_two
 logger = logging.getLogger(__name__)
 
 DELIVERIES_HEADER = ("product_id", "date", "quantity")
-CATALOG_HEADER = (
-    "product_id",
-    "name",
-    "unit_price",
-    "urgency",
-    "boxes_per_carton",
-    "carton_l_mm",
-    "carton_w_mm",
-    "carton_h_mm",
-)
+CATALOG_HEADER = ("product_id", "name", "unit_price", "urgency", "boxes_per_carton",
+                  "carton_l_mm", "carton_w_mm", "carton_h_mm")
 STOCK_HEADER = ("product_id", "on_hand")
 _INTEGER = re.compile("-?[0-9]+")  # ASCII only: int() also reads other digits, `_`, `+` and spaces
 MAX_QUANTITY = 2**53  # every integer up to it is a float, and no window total of such nears the float range
@@ -244,7 +238,7 @@ def _preads(fd, start, stop):
 def _texts(pieces, offset=0):
     """The UTF-8 bytes from file offset `offset` as text, in nonempty pieces that end at line ends.
 
-    Bytes that are not UTF-8 raise `UnicodeError` naming their offset in the file.
+    Bytes that are not UTF-8, and a NUL (read by `csv` from Python 3.11 only), raise `UnicodeError` naming its offset.
     """
     rest = b""
     for piece in itertools.chain(pieces, (b"",)):
@@ -255,6 +249,8 @@ def _texts(pieces, offset=0):
             text = data[:cut].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise UnicodeError(f"invalid UTF-8 at byte {offset + exc.start}: {exc.reason}") from None
+        if "\0" in text:
+            raise UnicodeError(f"NUL at byte {offset + data.index(0)}")
         offset, rest = offset + cut, data[cut:]
         if text:
             yield text
@@ -282,23 +278,27 @@ def _data_texts(pieces, path, expected_header, problems):
     return itertools.chain((head.read(),), texts)
 
 
-def _cells(rows, path, n_fields, shape, bad):
-    """(line, stripped cells) of each csv row from line 2 with `n_fields` cells and a product_id.
-
-    A blank row is skipped; `shape` names a row of another length, `bad` one with an empty id.
-    """
+def _cells(rows, path, n_fields, shape):
+    """(line, cells) of each csv row from line 2 with `n_fields` cells; `shape` names a row of another length."""
     for line_no, row in enumerate(rows, start=2):
-        if len(row) != n_fields:
-            if row:
-                shape.append(f"{path}:{line_no}: expected {n_fields} fields, got {len(row)}")
-        elif not row[0].strip():
-            bad.append(f"{path}:{line_no}: product_id must not be empty")
-        else:
-            yield line_no, [cell.strip() for cell in row]
+        if len(row) == n_fields:
+            yield line_no, row
+        elif row:
+            shape.append(f"{path}:{line_no}: expected {n_fields} fields, got {len(row)}")
 
 
-def _read_keyed(path, expected_header, build):
-    """Parse a per-product CSV: ({product_id: (line, build(*row))}, shape and value problems)."""
+def _product_id(cell):
+    if pid := cell.strip():
+        return pid
+    raise ValueError("product_id must not be empty")
+
+
+def _read_keyed(path, expected_header, build, kept):
+    """Parse a per-product CSV: ({product_id: record}, {product_id: line}, shape and value problems).
+
+    `kept(*columns)` checks each distinct cell text of a column once and returns each row's record, built from
+    the values of cells that passed, or None; `build(*stripped cells)` names the first fault of such a row.
+    """
     shape, bad, rows = [], [], ()
     try:
         with open(path, "rb") as fh:
@@ -306,35 +306,57 @@ def _read_keyed(path, expected_header, build):
             rows = list(csv.reader(_lines(texts))) if texts else ()
     except (OSError, UnicodeError, csv.Error) as exc:  # csv.Error: a field over `csv.field_size_limit()`
         shape.append(f"{path}: cannot read file ({exc})")
-    parsed = {}
-    for line_no, (pid, *cells) in _cells(rows, path, len(expected_header), shape, bad):
+    width, records, lines, numbers, full = len(expected_header), {}, {}, [], []
+    for line_no, row in _cells(rows, path, width, shape):
+        numbers.append(line_no)
+        full.append(row)
+    for line_no, row, record in zip(numbers, full, kept(*([*zip(*full)] or [()] * width))):
         try:
-            if pid in parsed:
-                raise ValueError(f"duplicate product_id {pid!r} (first seen at line {parsed[pid][0]})")
-            parsed[pid] = (line_no, build(pid, *cells))
+            pid = _product_id(row[0])
+            if pid in lines:
+                raise ValueError(f"duplicate product_id {pid!r} (first seen at line {lines[pid]})")
+            records[pid] = build(pid, *map(str.strip, row[1:])) if record is None else record
+            lines[pid] = line_no
         except ValueError as exc:
             bad.append(f"{path}:{line_no}: {exc}")
-    return parsed, shape, bad
+    return records, lines, shape, bad
+
+
+def _known(column, parse, *args):
+    """Each cell of `column` as `parse(text.strip(), *args)` reads it, or None where that raises; once a text."""
+    known = {}
+    for text in set(column):
+        try:
+            known[text] = parse(text.strip(), *args)
+        except ValueError:
+            pass
+    return map(known.get, column)
 
 
 def _catalog_entry(pid, name, price_text, urgency_text, bpc_text, l_text, w_text, h_text):
     if not name:
         raise ValueError("name must not be empty")
-    return CatalogEntry(  # positional fields: faster to build than keywords
-        pid,
-        name,
-        _parse_positive_number(price_text, "unit_price"),
-        _parse_int(urgency_text, 0, "urgency"),
-        _parse_int(bpc_text, 1, "boxes_per_carton"),
-        (_parse_dim(l_text, "carton_l_mm"), _parse_dim(w_text, "carton_w_mm"), _parse_dim(h_text, "carton_h_mm")),
-    )
+    return CatalogEntry(pid, name, _parse_positive_number(price_text, "unit_price"),
+                        _parse_int(urgency_text, 0, "urgency"), _parse_int(bpc_text, 1, "boxes_per_carton"),
+                        tuple(map(_parse_dim, (l_text, w_text, h_text), CATALOG_HEADER[5:])))
+
+
+def _catalog_kept(ids, names, prices, urgencies, per_carton, *dims):
+    """`kept` of `_read_keyed`: a value passed `_catalog_entry`'s check of its column, and so `CatalogEntry`'s."""
+    fields = zip(map(str.strip, ids), map(str.strip, names), _known(prices, _parse_positive_number, "unit_price"),
+                 map({0: 0, 1: 1}.get, _known(urgencies, _parse_int, 0, "urgency")),  # and `CatalogEntry`'s check
+                 _known(per_carton, _parse_int, 1, "boxes_per_carton"),
+                 zip(*map(_known, dims, itertools.repeat(_parse_dim), CATALOG_HEADER[5:])))
+    return [tuple.__new__(CatalogEntry, row) if row[1] and None not in row and None not in row[5] else None
+            for row in fields]
 
 
 def _fold_rows(rows, path, offsets, start_year, n_years):
     """Fold the csv rows of a whole delivery file, the first at line 2, into month slots, one at a time."""
     slots, uncataloged, outside, shape, bad = [0] * (12 * n_years * len(offsets)), [], {}, [], []
-    for line_no, (key, date_text, qty_text) in _cells(rows, path, 3, shape, bad):
+    for line_no, row in _cells(rows, path, 3, shape):
         try:
+            key, date_text, qty_text = _product_id(row[0]), row[1].strip(), row[2].strip()
             year, month = _parse_year_month(date_text)
             quantity = _parse_int(qty_text, 0, "quantity", MAX_QUANTITY)
         except ValueError as exc:
@@ -443,23 +465,18 @@ def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_y
     """
     if n_years < 1:
         raise ValueError(f"n_years must be >= 1, got {n_years}")
-    catalog, catalog_shape, catalog_bad = _read_keyed(catalog_file, CATALOG_HEADER, _catalog_entry)
+    catalog, _, catalog_shape, catalog_bad = _read_keyed(catalog_file, CATALOG_HEADER, _catalog_entry, _catalog_kept)
     offsets = {pid: i * 12 * n_years for i, pid in enumerate(sorted(catalog))}
     slots, uncataloged, outside, delivery_shape, delivery_bad = _fold_deliveries(
         deliveries_file, offsets, start_year, n_years)
-    stock, stock_shape, stock_bad = _read_keyed(
-        stock_file, STOCK_HEADER, lambda pid, text: _parse_int(text, 0, "on_hand"))
+    stock, stock_lines, stock_shape, stock_bad = _read_keyed(
+        stock_file, STOCK_HEADER, lambda pid, text: _parse_int(text, 0, "on_hand"),
+        lambda ids, texts: _known(texts, _parse_int, 0, "on_hand"))
     problems = delivery_shape + catalog_shape + stock_shape + delivery_bad + catalog_bad + stock_bad
-    # Cross-file checks only make sense once every file parsed cleanly.
-    if not problems:
-        problems = [
-            f"{deliveries_file}:{line_no}: product {pid!r} not in catalog"
-            for line_no, pid in uncataloged
-        ] + [
-            f"{stock_file}:{line_no}: product {pid!r} not in catalog"
-            for pid, (line_no, _) in stock.items()
-            if pid not in catalog
-        ]
+    if not problems:  # cross-file checks only make sense once every file parsed cleanly
+        problems = [f"{deliveries_file}:{line_no}: product {pid!r} not in catalog" for line_no, pid in uncataloged]
+        problems += [f"{stock_file}:{line_no}: product {pid!r} not in catalog"
+                     for pid, line_no in stock_lines.items() if pid not in catalog]
     if problems:
         raise InputError("\n".join(problems))
     if outside:
@@ -472,8 +489,8 @@ def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_y
     for pid in offsets:
         if pid not in stock:
             logger.warning("no stock snapshot for %s; assuming 0 boxes on hand", pid)
-    return LoadedData(Slots(offsets, start_year, n_years, slots), {pid: catalog[pid][1] for pid in offsets},
-                      {pid: stock[pid][1] if pid in stock else 0 for pid in offsets})
+    return LoadedData(Slots(offsets, start_year, n_years, slots), {pid: catalog[pid] for pid in offsets},
+                      {pid: stock.get(pid, 0) for pid in offsets})
 
 
 def annual_total(series: MonthlySeries, year: int) -> int:

@@ -5,11 +5,11 @@ an axis-aligned grid. Only the six axis-aligned carton orientations are
 searched (no interlocked or mixed-orientation layers), and each product
 gets its own pallets. The strategic quantity is rounded up to whole
 boxes here, and only here, so rounding error never compounds upstream.
+`volume_plans` fits each carton format once per call, keeping nothing.
 """
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -98,36 +98,35 @@ def cartons_per_pallet(carton_dims, pallet: PalletSpec):
     return count(best), best
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 400 and 400.0 keep their own orientation text
-def _carton_fit(length, width, height, pallet: PalletSpec):
-    """`cartons_per_pallet` once per carton format; a catalog has far fewer formats than products."""
-    return cartons_per_pallet((length, width, height), pallet)
-
-
 def volumetric_plan(
     stock_plan: StockPlan, entry: CatalogEntry, pallet: PalletSpec = DEFAULT_PALLET
 ) -> VolumetricPlan:
     """Size one product's strategic quantity in cartons, pallets, and m3.
 
     This is where the fractional strategic quantity of one product is
-    rounded (up) to whole boxes, as `volume_plans` rounds a block's.
+    rounded (up) to whole boxes: it is `volume_plans` of that product alone.
     """
-    return _packed(stock_plan.product_id, math.ceil(stock_plan.strategic_qty), entry, pallet)
+    (stock, den), pid = stock_plan.strategic_qty.as_integer_ratio(), stock_plan.product_id
+    return volume_plans(PlanColumns([pid], None, [stock], None, None, None, den), {pid: entry}, pallet)[0]
 
 
 def volume_plans(plans: PlanColumns, catalog, pallet: PalletSpec = DEFAULT_PALLET) -> list:
-    """`volumetric_plan` of each product of `plans`, from its numerators: its boxes are `-(-stock // den)`."""
-    return [_packed(pid, -(-stock // plans.den), catalog[pid], pallet)
-            for pid, stock in zip(plans.product_ids, plans.stock)]
+    """The `VolumetricPlan` of each product of `plans`, from its numerators: its boxes are `-(-stock // den)`.
 
-
-def _packed(product_id, boxes: int, entry: CatalogEntry, pallet: PalletSpec) -> VolumetricPlan:
-    """`boxes` of one product in cartons, on pallets, and in m3."""
-    cartons = cartons_needed(boxes, entry.boxes_per_carton)
-    per_pallet, orientation = _carton_fit(*entry.carton_dims, pallet)
-    if cartons > 0 and per_pallet == 0:
-        raise UnpalletizableError(product_id, entry.carton_dims, pallet)
-    pallets = pallets_needed(cartons, per_pallet) if cartons > 0 else 0
-    length, width, height = entry.carton_dims
-    return VolumetricPlan(product_id, boxes, cartons, per_pallet, orientation, pallets,
-                          cartons * (length * width * height * MM3_TO_M3))
+    Each carton format (its dimensions and their types: 400 and 400.0 keep their own text) is fitted once.
+    """
+    fits, volumes = {}, []
+    for pid, stock in zip(plans.product_ids, plans.stock):
+        entry = catalog[pid]
+        length, width, height = dims = entry.carton_dims
+        if (key := (dims, type(length), type(width), type(height))) not in fits:
+            fits[key] = *cartons_per_pallet(dims, pallet), length * width * height * MM3_TO_M3
+        per_pallet, orientation, volume = fits[key]
+        boxes = -(-stock // plans.den)
+        cartons = cartons_needed(boxes, entry.boxes_per_carton)
+        if cartons > 0 and per_pallet == 0:
+            raise UnpalletizableError(pid, dims, pallet)
+        pallets = -(-cartons // per_pallet) if cartons > 0 else 0  # `pallets_needed`, whose checks hold here
+        volumes.append(tuple.__new__(VolumetricPlan, (pid, boxes, cartons, per_pallet, orientation, pallets,
+                                                      cartons * volume)))
+    return volumes

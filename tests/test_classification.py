@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from stockdim import classification
 from stockdim.classification import (
     CriteriaWeights,
     ScoredProduct,
@@ -191,3 +193,45 @@ def test_nonfinite_scores_rejected():
 def test_threshold_validation():
     with pytest.raises(ValueError, match="a_threshold"):
         rank_and_cut([scored("A", 1.0)], a_threshold=0.9, b_threshold=0.5)
+
+
+def decimal_ratios(monkeypatch):
+    """The values whose decimal `rank_and_cut` reads from now on."""
+    read, ratio = [], classification._decimal_ratio
+    monkeypatch.setattr(classification, "_decimal_ratio", lambda value: read.append(value) or ratio(value))
+    return read
+
+
+def exact_classes(scores, a, b):
+    """The classes of scores in rank order, by exact decimal shares."""
+    exact = [Fraction(repr(score)) for score in scores]
+    a_cut, b_cut = Fraction(repr(a)) * sum(exact), Fraction(repr(b)) * sum(exact)
+    before, classes = Fraction(0), []
+    for score in exact:
+        classes.append("A" if before < a_cut else "B" if before < b_cut else "C")
+        before += score
+    return classes
+
+
+# In each, the float running sum before an item lies on one side of a
+# threshold's share of the float total and the exact decimal one on the other.
+@pytest.mark.parametrize("scores, a, b, classes", [
+    ([0.1] * 15, 0.8, 0.95, ["A"] * 12 + ["B"] * 3),  # README's: the float sum before rank 13 is below 4/5
+    ([0.35, 0.15], 0.7, 0.95, ["A", "B"]),
+    ([0.95, 0.05], 0.6, 0.95, ["A", "C"]),
+    ([0.45, 0.3, 0.2, 0.05], 0.9, 0.95, ["A", "A", "A", "C"]),
+], ids=["fifteen-tenths", "a-cut", "b-cut", "b-cut-of-four"])
+def test_a_cut_the_float_sums_cannot_tell_is_made_by_the_decimals(scores, a, b, classes, monkeypatch):
+    read = decimal_ratios(monkeypatch)
+    out = rank_and_cut([scored(f"P{i:02d}", s) for i, s in enumerate(scores)], a, b)
+    assert [r.abc_class for r in out] == classes == exact_classes(scores, a, b)
+    assert sorted(read) == sorted([a, b, *scores])  # each score's decimal was read
+
+
+def test_a_wide_catalog_is_cut_without_a_decimal_per_score(monkeypatch):
+    rnd = random.Random(5000)
+    scores = [rnd.random() for _ in range(5000)]
+    read = decimal_ratios(monkeypatch)
+    out = rank_and_cut([scored(f"P{i:04d}", s) for i, s in enumerate(scores)])
+    assert read == [0.80, 0.95]  # the thresholds' only
+    assert [r.abc_class for r in out] == exact_classes(sorted(scores, reverse=True), 0.80, 0.95)

@@ -631,6 +631,18 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_offset(name, offset, bund
     assert str(exc.value) == f"{paths[name]}: cannot read file (invalid UTF-8 at byte {offset}: invalid start byte)"
 
 
+@pytest.mark.parametrize("name, offset", [
+    ("deliveries", 30000), ("catalog", 1000), ("stock", 300),
+])
+def test_a_nul_byte_is_named_by_file_and_offset(name, offset, bundled_paths, tmp_path):
+    # `csv` refuses a NUL before Python 3.11 and reads it as cell text from 3.11: every Python refuses it here
+    paths = dict(bundled_paths)
+    paths[name] = copy_with_byte(bundled_paths[name], tmp_path / f"{name}.csv", offset, 0)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2019, 3)
+    assert str(exc.value) == f"{paths[name]}: cannot read file (NUL at byte {offset})"
+
+
 def deliveries_of_five_bundled_copies(bundled_paths, path):
     """A delivery file of about 200 KB, so that its first half goes past the first 64 KiB read."""
     header, _, body = bundled_paths["deliveries"].read_text(encoding="utf-8").partition("\n")
@@ -647,6 +659,19 @@ def test_a_split_fold_names_bytes_that_are_not_utf8_as_one_process_does(offset, 
     with pytest.raises(InputError) as exc:
         parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
     assert str(exc.value) == f"{path}: cannot read file (invalid UTF-8 at byte {offset}: invalid start byte)"
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("offset", [70000, 150000], ids=["child-half", "parent-half"])
+def test_a_split_fold_names_a_nul_byte_as_one_process_does(offset, split_fold, bundled_paths, tmp_path,
+                                                           monkeypatch):
+    path = deliveries_of_five_bundled_copies(bundled_paths, tmp_path / "big.csv")
+    copy_with_byte(path, path, offset, 0)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        parse_inputs(path, bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    assert str(exc.value) == f"{path}: cannot read file (NUL at byte {offset})"
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -808,3 +833,46 @@ def test_a_quote_opens_a_field_also_where_catalog_ids_hold_quotes(tmp_path):
     with pytest.raises(InputError) as exc:
         parse_inputs(deliveries, catalog, stock, 2020, 2)
     assert str(exc.value) == f"{deliveries}:2: product 'A,2020-01,3\\nB' not in catalog"
+
+
+def test_each_distinct_catalog_and_stock_cell_text_is_checked_once(bundled_paths, monkeypatch):
+    checked = []
+    for name in ("_parse_int", "_parse_positive_number"):  # `_parse_dim` checks through `_parse_positive_number`
+        def counted(text, *args, parse=getattr(ingestion, name)):
+            checked.append((next(arg for arg in args if isinstance(arg, str)), text))
+            return parse(text, *args)
+        monkeypatch.setattr(ingestion, name, counted)
+    parse_inputs(bundled_paths["deliveries"], bundled_paths["catalog"], bundled_paths["stock"], 2019, 3)
+    with open(bundled_paths["catalog"], newline="") as catalog, open(bundled_paths["stock"], newline="") as stock:
+        rows = [*csv.DictReader(catalog), *csv.DictReader(stock)]
+    columns = (*CATALOG_HEADER[2:], "on_hand")
+    assert sorted(check for check in checked if check[0] != "quantity") == sorted(
+        {(column, row[column]) for row in rows for column in columns if column in row})
+    assert len({text for column, text in checked if column == "urgency"}) == 2 < len(rows)  # repeated texts
+
+
+def test_bad_cells_that_repeat_are_named_on_every_row_in_file_order(tmp_path):
+    catalog = write_csv(tmp_path / "catalog.csv", ",".join(CATALOG_HEADER), [
+        ("P1", "One", "2.5", 0, 10, 400, 300, 200),
+        ("P2", "Two", "abc", 0, 10, 400, 300, 200),
+        ("P3", "Three", "2.5", 2, 10, 400, 300, 200),
+        ("P4", "Four", "abc", 1, 10, 400, 300, 200),
+        ("P5", "Five", "3.5", 2, 10, 400, 300, 200),
+        ("P6", "Six", "abc", 0, 10, 400, 300, 200),
+        ("P7", "Seven", "2.5", 2, "x", 400, 300, 200),  # a cell that fails its own check is named first
+        ("P8", "Eight", "2.5", 2, 10, 400, 300, 200),
+        ("P9", "Nine", "2.5", 1, 10, 400, 300, 200),
+    ])
+    paths = {"deliveries": write_deliveries(tmp_path / "deliveries.csv", ""), "catalog": catalog,
+             "stock": write_csv(tmp_path / "stock.csv", "product_id,on_hand", [("P1", 3), ("P9", 3)])}
+    with pytest.raises(InputError) as exc:
+        parse_inputs(paths["deliveries"], paths["catalog"], paths["stock"], 2020, 1)
+    assert str(exc.value).splitlines() == [
+        f"{catalog}:3: unit_price must be a number, got 'abc'",
+        f"{catalog}:4: P3: urgency must be 0 or 1",
+        f"{catalog}:5: unit_price must be a number, got 'abc'",
+        f"{catalog}:6: P5: urgency must be 0 or 1",
+        f"{catalog}:7: unit_price must be a number, got 'abc'",
+        f"{catalog}:8: boxes_per_carton must be an integer, got 'x'",
+        f"{catalog}:9: P8: urgency must be 0 or 1",
+    ]

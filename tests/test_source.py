@@ -84,3 +84,17 @@ def test_every_module_imports_only_the_standard_library_and_stockdim():
             outside += [f"{path.name}: {root}" for root in roots
                         if root not in sys.stdlib_module_names and root != "stockdim"]
     assert outside == []
+
+
+def test_no_function_in_src_keeps_a_process_wide_cache():
+    # `functools.lru_cache` and `functools.cache` keep every argument for the life of the process
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.name}: {node.name}")
+    assert cached == []

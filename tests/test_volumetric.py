@@ -6,7 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from stockdim.dimensioning import StockPlan, UNDERSTOCK
+from stockdim import volumetric
+from stockdim.dimensioning import StockPlan, UNDERSTOCK, plan_columns
 from stockdim.ingestion import CatalogEntry, parse_inputs
 from stockdim.reporting import volume_csv
 from stockdim.volumetric import (
@@ -14,7 +15,6 @@ from stockdim.volumetric import (
     PalletSpec,
     UnpalletizableError,
     VolumetricPlan,
-    _carton_fit,
     cartons_needed,
     cartons_per_pallet,
     pallets_needed,
@@ -171,24 +171,32 @@ def test_ceiling_sandwich_and_pallet_count_invariants():
 
 
 def test_carton_fit_keeps_int_and_float_dimensions_apart():
-    # One process, so the remembered fit of one carton is offered to the other.
+    # One call of `volume_plans` fits each format once: 400 and 400.0 are two formats.
     pallet = PalletSpec(1200, 900, 1000)  # best orientation: the carton as given
     as_int = make_entry("I", 24, (400, 300, 200))
     as_float = make_entry("F", 24, (400.0, 300.0, 200.0))
     volumes = [volumetric_plan(make_plan(e.product_id, 400), e, p)
                for p in (pallet, DEFAULT_PALLET) for e in (as_float, as_int, as_float, as_int)]
+    catalog = {f"P{i}": e for i, e in enumerate((as_float, as_int, as_float, as_int))}
+    plans = plan_columns([*catalog], [1200] * 4, [0] * 4)  # 400 boxes each
+    assert [repr(v._replace(product_id=e.product_id)) for p in (pallet, DEFAULT_PALLET)  # repr: 400.0 is not 400
+            for v, e in zip(volumetric.volume_plans(plans, catalog, p), catalog.values())] == [*map(repr, volumes)]
     fh = io.StringIO()
     volume_csv(volumes, fh)
     orientations = [row["orientation"] for row in csv.DictReader(io.StringIO(fh.getvalue()))]
     assert orientations == ["400.0x300.0x200.0", "400x300x200"] * 2 + ["200.0x400.0x300.0", "200x400x300"] * 2
 
 
-def test_carton_fit_remembers_every_format_of_a_wide_catalog():
-    _carton_fit.cache_clear()
+def test_volume_plans_fits_each_carton_format_once_per_call(monkeypatch):
+    fitted = []
+    fit = volumetric.cartons_per_pallet
+    monkeypatch.setattr(volumetric, "cartons_per_pallet", lambda dims, pallet: fitted.append(dims) or fit(dims, pallet))
+    catalog = {f"P{i:03d}": make_entry(f"P{i:03d}", 10, (100 + i % 300, 200, 100)) for i in range(600)}
+    plans = plan_columns([*catalog], [12] * 600, [0] * 600)
     for _ in range(2):
-        for side in range(100, 400):
-            _carton_fit(side, 200, 100, DEFAULT_PALLET)
-    assert _carton_fit.cache_info().misses == 300
+        assert [v.cartons_per_pallet for v in volumetric.volume_plans(plans, catalog)] == [
+            cartons_per_pallet(entry.carton_dims, DEFAULT_PALLET)[0] for entry in catalog.values()]
+    assert fitted == [(side, 200, 100) for side in range(100, 400)] * 2  # nothing is kept between calls
 
 
 def test_volumetric_plan_matches_a_direct_fit_for_every_bundled_entry(bundled_paths):
