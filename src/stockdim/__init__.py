@@ -35,7 +35,6 @@ from .ingestion import (
     CatalogEntry,
     InputError,
     MonthlySeries,
-    annual_total,
     parse_inputs,
 )
 from .reporting import PipelineResult, RunConfig, run_pipeline

@@ -8,8 +8,8 @@ forecast repeats T / 12, for the total T of year `year - 1`. The
 seasonal forecast spreads T by month weight: w_m sums month m over every
 year before `year`, and month m gets T * w_m / sum(w). Year `year - 1`
 is one of the summed years, so where every w_m is 0, T is 0 and so is
-every month. `forecast_year`, `backtest` and `report` are all views of
-this one rule, for one series or a block at a time.
+every month. `forecast_year`, `backtest`, `monthly_need` and `report` are
+all views of this one rule, for one series or a block at a time.
 
 Both are exact by construction, in integers rather than `Fraction`
 objects: each value is one correctly rounded int/int division, the
@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
-from .ingestion import MonthlySeries, Slots, annual_total
+from .ingestion import MonthlySeries, Slots
 
 METHOD_NAIVE = "naive"
 METHOD_SEASONAL = "seasonal"
@@ -55,21 +55,21 @@ class BacktestReport(NamedTuple):
     no_nonzero_actuals: bool = False
 
 
-def _check_prior(pid, series, year: int):
-    """Name `pid` unless `series`, a `MonthlySeries` or `Slots`, holds year `year - 1`."""
-    if not series.start_year < year <= series.end_year + 1:
-        raise ValueError(f"{pid}: cannot derive the monthly need for {year}, year {year - 1} "
-                         f"not covered by the series ({series.start_year}..{series.end_year})")
+def _check_prior(block: Slots, year: int):
+    """Name the block's first product unless the block holds year `year - 1`."""
+    if not block.start_year < year <= block.end_year + 1:
+        raise ValueError(f"{next(iter(block))}: cannot derive the monthly need for {year}, year {year - 1} "
+                         f"not covered by the series ({block.start_year}..{block.end_year})")
 
 
 def monthly_need(series: MonthlySeries, target_year: int) -> Fraction:
-    """Baseline need for the target year: prior-year deliveries / 12.
+    """Baseline need for the target year: prior-year deliveries / 12, the `Slots.totals` of one series.
 
-    Kept fractional; rounding to whole boxes happens once, at the
-    volumetric packing step.
+    Kept fractional: boxes are rounded up once, at the volumetric packing step.
     """
-    _check_prior(series.product_id, series, target_year)
-    return Fraction(annual_total(series, target_year - 1), 12)
+    block = Slots.of([series])
+    _check_prior(block, target_year)
+    return Fraction(*block.totals(block, target_year - 1, target_year - 1), 12)
 
 
 def column_sums(columns) -> list:
@@ -86,7 +86,7 @@ def forecast_columns(block: Slots, year: int, flat_offer=False) -> tuple:
     years give `naive` in every month instead of an error.
     """
     first, width, fit_years = next(iter(block)), block.width, year - block.start_year
-    _check_prior(first, block, year)
+    _check_prior(block, year)
     columns = [block.slots[slot::width] for slot in range(min(width, 12 * fit_years + 12))]
     totals = column_sums(columns[12 * fit_years - 12 : 12 * fit_years])
     naive = [*map(truediv, totals, repeat(12))]

@@ -57,7 +57,7 @@ class InputError(ValueError):
 
 
 class MonthlySeries(namedtuple("MonthlySeries", "product_id start_year values")):
-    """Contiguous monthly delivery totals for one product.
+    """Contiguous monthly delivery totals for one product, added up as `Slots.of([series])` adds them.
 
     Covers whole calendar years starting at `start_year`: the value for
     month m of year y sits at slot (y - start_year) * 12 + (m - 1) of the
@@ -84,13 +84,6 @@ class MonthlySeries(namedtuple("MonthlySeries", "product_id start_year values"))
     def end_year(self) -> int:
         """Last calendar year covered (inclusive)."""
         return self.start_year + self.n_years - 1
-
-    def year_slice(self, year: int) -> tuple:
-        """The 12 monthly values of one covered year."""
-        if not self.start_year <= year <= self.end_year:
-            raise ValueError(f"{self.product_id}: year {year} outside series {self.start_year}..{self.end_year}")
-        lo = (year - self.start_year) * 12
-        return self.values[lo : lo + 12]
 
 
 class CatalogEntry(namedtuple("CatalogEntry", "product_id name unit_price urgency boxes_per_carton carton_dims")):
@@ -120,6 +113,7 @@ class Slots(Mapping):
     (y - start_year) * 12 + m - 1]`, so month slot k of every product is
     the strided column `slots[k::width]`. As a read-only mapping it takes
     each product_id, in order, to a `MonthlySeries` built on each lookup.
+    `totals` adds up years of the window, and refuses any other year.
     """
 
     def __init__(self, ids, start_year: int, n_years: int, slots: list):
@@ -128,7 +122,9 @@ class Slots(Mapping):
 
     @classmethod
     def of(cls, series):
-        """The slots of `MonthlySeries` of one window, in the order given."""
+        """The slots of one or more `MonthlySeries` of one window, in the order given."""
+        if not series:
+            raise ValueError("a block needs at least one series")
         if len({(s.start_year, len(s.values)) for s in series}) > 1:
             raise ValueError(f"{series[0].product_id}: a block's series must cover one window")
         return cls([s.product_id for s in series], series[0].start_year, series[0].n_years,
@@ -152,7 +148,9 @@ class Slots(Mapping):
                 *itertools.chain.from_iterable(slots[at : at + width] for at in map(self.offsets.__getitem__, part))])
 
     def totals(self, ids, first_year: int, last_year: int) -> list:
-        """The deliveries of each of `ids` from `first_year` to `last_year`, both covered, added up."""
+        """The deliveries of each of `ids` from `first_year` to `last_year`, both in the window, added up."""
+        if not self.start_year <= first_year <= last_year <= self.end_year:
+            raise ValueError(f"years {first_year}..{last_year} not in the window {self.start_year}..{self.end_year}")
         lo, hi, slots = 12 * (first_year - self.start_year), 12 * (last_year - self.start_year + 1), self.slots
         return [sum(slots[at + lo : at + hi]) for at in map(self.offsets.__getitem__, ids)]
 
@@ -491,8 +489,3 @@ def parse_inputs(deliveries_file, catalog_file, stock_file, start_year: int, n_y
             logger.warning("no stock snapshot for %s; assuming 0 boxes on hand", pid)
     return LoadedData(Slots(offsets, start_year, n_years, slots), {pid: catalog[pid] for pid in offsets},
                       {pid: stock.get(pid, 0) for pid in offsets})
-
-
-def annual_total(series: MonthlySeries, year: int) -> int:
-    """Sum of one covered calendar year's 12 monthly values."""
-    return sum(series.year_slice(year))

@@ -120,7 +120,11 @@ def volume_plans(plans: PlanColumns, catalog, pallet: PalletSpec = DEFAULT_PALLE
         entry = catalog[pid]
         length, width, height = dims = entry.carton_dims
         if (key := (dims, type(length), type(width), type(height))) not in fits:
-            fits[key] = *cartons_per_pallet(dims, pallet), length * width * height * MM3_TO_M3
+            try:
+                fits[key] = *cartons_per_pallet(dims, pallet), length * width * height * MM3_TO_M3
+            except OverflowError:  # an int volume in mm3 past the float range
+                raise ValueError(f"{pid}: carton {length}x{width}x{height} mm has a volume "
+                                 "too large for a float") from None
         per_pallet, orientation, volume = fits[key]
         boxes = -(-stock // plans.den)
         cartons = cartons_needed(boxes, entry.boxes_per_carton)

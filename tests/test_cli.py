@@ -171,6 +171,20 @@ def test_unpalletizable_product_fails_with_its_name(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_carton_volume_too_large_for_a_float_names_its_product_and_carton(bundled_paths, tmp_path):
+    # DG-0003 is never delivered, but its carton format is fitted all the same
+    text = bundled_paths["catalog"].read_text(encoding="utf-8")
+    row = "DG-0003,Ibuprofen 400mg tabs,5.0,0,12,"
+    assert f"\n{row}350,250,200\n" in text
+    paths = {**bundled_paths, "catalog": tmp_path / "catalog.csv"}
+    paths["catalog"].write_text(text.replace(f"{row}350,250,200", f"{row}1e200,1e200,1e200"), encoding="utf-8")
+    result = invoke(["volume", "--all"] + base_args(paths, tmp_path / "out"))
+    assert result.exit_code == 1
+    side = int(1e200)
+    assert last_line(result) == f"Error: DG-0003: carton {side}x{side}x{side} mm has a volume too large for a float"
+    assert not (tmp_path / "out").exists()
+
+
 def test_quoted_product_id_reads_back_from_every_report(tmp_path):
     ids = ("DG,9", "DG-1", "DG\rCR")
 

@@ -15,7 +15,7 @@ from stockdim.ingestion import (
     InputError,
     LoadedData,
     MonthlySeries,
-    annual_total,
+    Slots,
     parse_inputs,
 )
 
@@ -169,15 +169,21 @@ def test_equal_months_share_a_slot_and_every_bad_date_line_is_reported(tmp_path)
     )
 
 
-def test_annual_total_examples():
-    zero = MonthlySeries("P", 2020, (0,) * 12)
-    assert annual_total(zero, 2020) == 0
-    flat = MonthlySeries("P", 2020, (100,) * 12)
-    assert annual_total(flat, 2020) == 1200
-    ramp = MonthlySeries("P", 2020, tuple(range(1, 13)))
-    assert annual_total(ramp, 2020) == 78
-    with pytest.raises(ValueError, match="outside series"):
-        annual_total(flat, 2019)
+def test_slots_totals_examples(bundled_paths):
+    block = Slots.of([MonthlySeries(pid, 2020, values) for pid, values in
+                      (("zero", (0,) * 12), ("flat", (100,) * 12), ("ramp", tuple(range(1, 13))))])
+    assert block.totals(["zero", "flat", "ramp"], 2020, 2020) == [0, 1200, 78]
+    with pytest.raises(ValueError, match=r"^years 2019\.\.2019 not in the window 2020\.\.2020$"):
+        block.totals(["flat"], 2019, 2019)
+    series = parse_inputs(*bundled_paths.values(), 2019, 3).series
+    ids = [*series][:3]
+    assert series.totals(ids, 2021, 2021) == [1200, 1300, 0]
+    for first, last in ((2018, 2018), (2022, 2022), (2020, 2019), (2018, 2021), (2019, 2022)):
+        with pytest.raises(ValueError) as raised:  # no year of a neighbouring product's slots, and no empty run
+            series.totals(ids, first, last)
+        assert str(raised.value) == f"years {first}..{last} not in the window 2019..2021"
+    with pytest.raises(ValueError, match="^a block needs at least one series$"):
+        Slots.of([])
 
 
 delivery_lines_strategy = st.lists(
@@ -209,15 +215,6 @@ def test_aggregation_is_order_independent(tmp_path_factory, lines, rnd):
     directory = tmp_path_factory.mktemp("d")
     series = parse_delivery_lines(directory, lines, 2019, 3)
     assert series == parse_delivery_lines(directory, shuffled, 2019, 3)
-
-
-def test_series_window_and_slices():
-    values = tuple(range(24))
-    s = MonthlySeries("P", 2020, values)
-    assert s.year_slice(2020) == values[:12]
-    assert s.year_slice(2021) == values[12:]
-    with pytest.raises(ValueError, match="outside series"):
-        s.year_slice(2019)
 
 
 def test_series_rejects_negative_values():

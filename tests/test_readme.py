@@ -1,3 +1,4 @@
+import inspect
 import re
 import shlex
 import shutil
@@ -14,6 +15,14 @@ def test_every_documented_lower_level_piece_is_importable_from_stockdim():
     names = re.findall(r"`(\w+)`", sentence.group(1))
     assert "forecast_year" in names and "backtest" in names
     assert [name for name in names if not hasattr(stockdim, name)] == []
+
+
+def test_the_readme_names_every_public_name_of_stockdim():
+    text = README.read_text(encoding="utf-8")
+    public = [name for name, value in vars(stockdim).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert "run_pipeline" in public and "DEFAULT_PALLET" in public
+    assert [name for name in public if not re.search(rf"`(\w+\.)*{name}\b", text)] == []
 
 
 def test_every_python_block_of_the_readme_runs(tmp_path, monkeypatch):
