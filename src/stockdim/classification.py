@@ -13,52 +13,35 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import add, attrgetter, mul, sub, truediv
-from typing import NamedTuple
 
 from .dimensioning import _decimal_ratio, _exact
+from .ingestion import _Checked
 
 DEFAULT_A_THRESHOLD = 0.80
 DEFAULT_B_THRESHOLD = 0.95
 
 
-class CriteriaWeights(namedtuple("CriteriaWeights", "w_revenue w_ratio w_urgency", defaults=(0.5, 0.3, 0.2))):
+class CriteriaWeights(_Checked, namedtuple("CriteriaWeights", "w_revenue w_ratio w_urgency",
+                                           defaults=(0.5, 0.3, 0.2))):
     """Relative importance of revenue, quantity-price ratio, and urgency."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name, weight in zip(self._fields, self):
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"criteria weight {name} must be finite and non-negative, got {weight}")
         # The exact sum of the decimals the weights read: (0.5, 0.3, 0.2000000001) is not 1.
         if sum(map(_exact, self)) != 1:
             raise ValueError("criteria weights must sum to 1, got {} + {} + {}".format(*self))
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_WEIGHTS = CriteriaWeights()
 
 
-class ScoredProduct(NamedTuple):
-    product_id: str
-    revenue: float
-    qty_price_ratio: float
-    urgency: int
-    score: float
-
-
-class ClassificationResult(NamedTuple):
-    product_id: str
-    revenue: float
-    qty_price_ratio: float
-    score: float
-    rank: int
-    cumulative_share: float
-    abc_class: str
-    strategic: bool
+ScoredProduct = namedtuple("ScoredProduct", "product_id revenue qty_price_ratio urgency score")
+ClassificationResult = namedtuple(
+    "ClassificationResult", "product_id revenue qty_price_ratio score rank cumulative_share abc_class strategic")
 
 
 def _min_max(values):

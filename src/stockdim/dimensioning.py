@@ -12,9 +12,9 @@ one correctly rounded int/int division, the float of the exact
 `Fraction` that `plan_products` gives one product at a time.
 """
 
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from typing import NamedTuple
 
 DEFAULT_STOCK_MONTHS = 4
 
@@ -33,15 +33,8 @@ def _exact(value) -> Fraction:
     return Fraction(*_decimal_ratio(value))
 
 
-class StockPlan(NamedTuple):
-    """The per-product sizing chain: need, strategic level, order, status."""
-
-    product_id: str
-    monthly_need: Fraction
-    strategic_qty: Fraction
-    on_hand: int
-    order_qty: Fraction
-    status: str
+# The per-product sizing chain: need, strategic level, order (each a Fraction), status.
+StockPlan = namedtuple("StockPlan", "product_id monthly_need strategic_qty on_hand order_qty status")
 
 
 def strategic_stock(monthly_need, months=DEFAULT_STOCK_MONTHS) -> Fraction:
@@ -74,21 +67,19 @@ def order_quantity(strategic_qty, on_hand):
     return target - on_hand, UNDERSTOCK
 
 
-class PlanColumns(NamedTuple):
-    """The sizing chain of products as numerators: M = need / 12, QS = stock / den, QC = order / den."""
-
-    product_ids: list
-    need: list  # T
-    stock: list  # T * a
-    on_hand: list  # h
-    order: list  # max(0, T * a - den * h)
-    status: list
-    den: int  # 12 * b
+# The sizing chain of products as columns of numerators: M = need / 12, QS = stock / den, QC = order / den,
+# with need T, stock T * a, on_hand h, order max(0, T * a - den * h), status and den = 12 * b (int).
+PlanColumns = namedtuple("PlanColumns", "product_ids need stock on_hand order status den")
 
 
 def plan_columns(product_ids, totals, on_hand, months=DEFAULT_STOCK_MONTHS) -> PlanColumns:
-    """The sizing chain of each product from its prior-year total and its boxes on hand; `months` > 0."""
+    """The sizing chain of each product from its prior-year total and boxes on hand, each >= 0; `months` > 0."""
     a, b = _decimal_ratio(months)
+    if a <= 0:
+        raise ValueError(f"stock months must be > 0, got {months}")
+    for what, column in (("prior-year total", totals), ("on_hand", on_hand)):
+        if (low := min(column, default=0)) < 0:  # the first product that holds the least
+            raise ValueError(f"{product_ids[column.index(low)]}: {what} must be >= 0, got {low}")
     stock, held = [t * a for t in totals], [12 * b * h for h in on_hand]
     return PlanColumns(product_ids, totals, stock, on_hand, [s - h if s > h else 0 for s, h in zip(stock, held)],
                        [UNDERSTOCK if s > h else EXACT if s == h else OVERSTOCK for s, h in zip(stock, held)], 12 * b)

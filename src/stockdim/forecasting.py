@@ -17,11 +17,11 @@ float `float(Fraction(...))` gives. On perfectly periodic demand the
 seasonal forecast therefore reproduces the actuals with zero error.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
 from operator import add, mul, sub, truediv
-from typing import NamedTuple
 
 from .ingestion import MonthlySeries, Slots
 
@@ -31,28 +31,12 @@ METHOD_SEASONAL = "seasonal"
 MIN_FIT_YEARS = 2  # one year of history is pure noise for a monthly profile
 
 
-class ForecastResult(NamedTuple):
-    """Per-month forecast for one product, in boxes (fractional allowed)."""
-
-    product_id: str
-    method: str
-    monthly_values: tuple
-
-
-class BacktestReport(NamedTuple):
-    """Error of both forecast methods against one held-out year.
-
-    MAPE skips months whose actual demand is zero; if the whole holdout
-    year is zero the MAPEs are reported as 0 and flagged undefined.
-    """
-
-    product_id: str
-    holdout_year: int
-    mae_naive: float
-    mae_seasonal: float
-    mape_naive: float
-    mape_seasonal: float
-    no_nonzero_actuals: bool = False
+# Per-month forecast for one product, in boxes (fractional allowed).
+ForecastResult = namedtuple("ForecastResult", "product_id method monthly_values")
+# Error of both forecast methods against one held-out year. MAPE skips months whose actual demand is zero;
+# if the whole holdout year is zero the MAPEs are reported as 0 and flagged undefined (`no_nonzero_actuals`).
+BacktestReport = namedtuple("BacktestReport", "product_id holdout_year mae_naive mae_seasonal mape_naive "
+                            "mape_seasonal no_nonzero_actuals", defaults=(False,))
 
 
 def _check_prior(block: Slots, year: int):

@@ -38,7 +38,6 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import partial
 from stat import S_ISREG
-from typing import NamedTuple
 
 from .forking import _in_two
 
@@ -56,7 +55,20 @@ class InputError(ValueError):
     """An input file failed validation; the message lists every bad line."""
 
 
-class MonthlySeries(namedtuple("MonthlySeries", "product_id start_year values")):
+class _Checked:
+    """The first base of a checked named tuple: its constructor, `_make` and `_replace` each run its `_check`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the generated one, which `_replace` calls, skips `_check`
+
+
+class MonthlySeries(_Checked, namedtuple("MonthlySeries", "product_id start_year values")):
     """Contiguous monthly delivery totals for one product, added up as `Slots.of([series])` adds them.
 
     Covers whole calendar years starting at `start_year`: the value for
@@ -66,15 +78,11 @@ class MonthlySeries(namedtuple("MonthlySeries", "product_id start_year values"))
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if len(self.values) == 0 or len(self.values) % 12 != 0:
             raise ValueError(f"series length must be a positive multiple of 12, got {len(self.values)}")
         if any(not v >= 0 for v in self.values):  # NaN too
             raise ValueError("series values must be >= 0")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks too
 
     @property
     def n_years(self) -> int:
@@ -86,13 +94,13 @@ class MonthlySeries(namedtuple("MonthlySeries", "product_id start_year values"))
         return self.start_year + self.n_years - 1
 
 
-class CatalogEntry(namedtuple("CatalogEntry", "product_id name unit_price urgency boxes_per_carton carton_dims")):
+class CatalogEntry(_Checked, namedtuple("CatalogEntry",
+                                        "product_id name unit_price urgency boxes_per_carton carton_dims")):
     """Product identity, price, urgency flag, and packaging geometry (carton_dims: l, w, h in mm)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not self.unit_price > 0:
             raise ValueError(f"{self.product_id}: unit_price must be > 0")
         if self.urgency not in (0, 1):
@@ -101,9 +109,6 @@ class CatalogEntry(namedtuple("CatalogEntry", "product_id name unit_price urgenc
             raise ValueError(f"{self.product_id}: boxes_per_carton must be >= 1")
         if len(self.carton_dims) != 3 or any(not d > 0 for d in self.carton_dims):
             raise ValueError(f"{self.product_id}: carton dimensions must all be > 0")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class Slots(Mapping):
@@ -155,12 +160,9 @@ class Slots(Mapping):
         return [sum(slots[at + lo : at + hi]) for at in map(self.offsets.__getitem__, ids)]
 
 
-class LoadedData(NamedTuple):
-    """What `parse_inputs` reads: one mapping per input, each over every cataloged product, in id order."""
-
-    series: Slots  # product_id -> MonthlySeries of the window, built on lookup from the fold's slots
-    catalog: dict  # product_id -> CatalogEntry
-    on_hand: dict  # product_id -> boxes on hand, 0 where the stock file has no row
+# What `parse_inputs` reads, one mapping per input over every cataloged product in id order: `series` (`Slots`) to
+# its MonthlySeries, `catalog` to its CatalogEntry, `on_hand` to its boxes on hand, 0 where the stock file has no row.
+LoadedData = namedtuple("LoadedData", "series catalog on_hand")
 
 
 def _parse_year_month(text: str):

@@ -45,7 +45,7 @@ from .classification import (
 from .dimensioning import DEFAULT_STOCK_MONTHS, plan_columns
 from .forecasting import backtests, column_sums, forecast_columns
 from .forking import _in_two
-from .ingestion import LoadedData, parse_inputs
+from .ingestion import LoadedData, _Checked, parse_inputs
 from .volumetric import DEFAULT_PALLET, volume_plans
 
 CLASSIFICATION_CSV = "classification.csv"
@@ -59,15 +59,14 @@ REPORT = (CLASSIFICATION_CSV, FORECAST_CSV, PLAN_CSV, VOLUME_CSV, GAP_CSV, SUMMA
 BLOCK = 512  # products per columnar pass: long columns for `map`, while a block's rows stay small
 
 
-class RunConfig(namedtuple("RunConfig", "deliveries catalog stock out_dir start_year n_years target_year multiplier"
-                           " weights a_threshold b_threshold pallet include_all", defaults=(
+class RunConfig(_Checked, namedtuple("RunConfig", "deliveries catalog stock out_dir start_year n_years target_year"
+                                     " multiplier weights a_threshold b_threshold pallet include_all", defaults=(
         DEFAULT_STOCK_MONTHS, DEFAULT_WEIGHTS, DEFAULT_A_THRESHOLD, DEFAULT_B_THRESHOLD, DEFAULT_PALLET, False))):
     """Every knob of a pipeline run, so results reproduce from one object."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.n_years < 1:
             raise ValueError(f"history window must cover at least 1 year, got {self.n_years}")
         if self.target_year <= self.start_year:
@@ -77,9 +76,6 @@ class RunConfig(namedtuple("RunConfig", "deliveries catalog stock out_dir start_
                              f"but the window ends in {self.start_year + self.n_years - 1}")
         if not (math.isfinite(self.multiplier) and self.multiplier > 0):
             raise ValueError(f"stock multiplier must be finite and > 0, got {self.multiplier}")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def last_history_year(self) -> int:

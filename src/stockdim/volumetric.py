@@ -11,10 +11,9 @@ boxes here, and only here, so rounding error never compounds upstream.
 import math
 from collections import namedtuple
 from itertools import permutations
-from typing import NamedTuple
 
 from .dimensioning import PlanColumns, StockPlan, _decimal_ratio
-from .ingestion import CatalogEntry
+from .ingestion import CatalogEntry, _Checked
 
 MM3_TO_M3 = 1e-9
 
@@ -32,32 +31,23 @@ class UnpalletizableError(ValueError):
         )
 
 
-class PalletSpec(namedtuple("PalletSpec", "usable_length usable_width usable_height", defaults=(1200, 800, 1500))):
+class PalletSpec(_Checked, namedtuple("PalletSpec", "usable_length usable_width usable_height",
+                                      defaults=(1200, 800, 1500))):
     """Usable pallet envelope in millimeters."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         for name, size in zip(self._fields, self):
             if not (math.isfinite(size) and size > 0):
                 raise ValueError(f"pallet {name} must be finite and > 0, got {size}")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_PALLET = PalletSpec()  # EUR footprint, 1.5 m usable stack height
 
 
-class VolumetricPlan(NamedTuple):
-    product_id: str
-    boxes: int
-    cartons: int
-    cartons_per_pallet: int
-    orientation: tuple
-    pallets: int
-    total_volume_m3: float
+VolumetricPlan = namedtuple(
+    "VolumetricPlan", "product_id boxes cartons cartons_per_pallet orientation pallets total_volume_m3")
 
 
 def cartons_needed(boxes: int, boxes_per_carton: int) -> int:

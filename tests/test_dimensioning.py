@@ -9,6 +9,7 @@ from stockdim.dimensioning import (
     OVERSTOCK,
     UNDERSTOCK,
     order_quantity,
+    plan_columns,
     plan_products,
     strategic_stock,
 )
@@ -77,6 +78,20 @@ def test_plan_products_names_a_bad_horizon_as_it_was_given():
     with pytest.raises(ValueError) as exc:
         plan_products({"P1": 10}, {"P1": 0}, months=-0.5)
     assert str(exc.value) == "stock months must be > 0, got -0.5"
+
+
+def test_plan_columns_refuses_what_plan_products_refuses():
+    for total, on_hand, months, message in [
+        (12, 0, -1, "stock months must be > 0, got -1"),
+        (12, 0, 0, "stock months must be > 0, got 0"),
+        (12, -5, 4, "P: on_hand must be >= 0, got -5"),
+        (-12, 0, 4, "P: prior-year total must be >= 0, got -12"),
+    ]:
+        with pytest.raises(ValueError):
+            plan_products({"P": Fraction(total, 12)}, {"P": on_hand}, months)
+        with pytest.raises(ValueError) as exc:
+            plan_columns(["O", "P"], [0, total], [0, on_hand], months)
+        assert str(exc.value) == message
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))

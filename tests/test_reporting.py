@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -132,13 +133,29 @@ def test_gap_kpi_conventions():
         ("P", 10, 1, 60, (200, 400, 300), 1, 0.024),
         id="VolumetricPlan",
     ),
+    pytest.param(
+        PlanColumns(["P"], [30], [120], [4], [72], ["UNDERSTOCK"], 12),
+        ("product_ids", "need", "stock", "on_hand", "order", "status", "den"),
+        (["P"], [30], [120], [4], [72], ["UNDERSTOCK"], 12),
+        id="PlanColumns",
+    ),
+    pytest.param(
+        LoadedData(Slots(["P"], 2019, 1, [0] * 12), {}, {"P": 4}),
+        ("series", "catalog", "on_hand"),
+        (Slots(["P"], 2019, 1, [0] * 12), {}, {"P": 4}),
+        id="LoadedData",
+    ),
 ])
 def test_output_records_are_named_tuples(record, fields, plain):
-    assert type(record)._fields == fields
+    # `score_products`, `rank_and_cut` and `volume_plans` build records by position, so field order is load-bearing
+    kind = type(record)
+    assert kind._fields == fields
+    assert kind._field_defaults == ({"no_nonzero_actuals": False} if kind is BacktestReport else {})
     with pytest.raises(AttributeError):
-        record.product_id = "Q"
-    assert record == plain
-    assert record[0] == "P" and tuple(record) == plain
+        setattr(record, fields[0], plain[0])
+    assert record == plain and record[0] == plain[0] and tuple(record) == plain
+    assert repr(record) == f"{kind.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, record))})"
+    assert kind._make(plain) == plain and pickle.loads(pickle.dumps(record)) == plain
 
 
 @pytest.mark.parametrize("record, fields, plain, bad, message", [

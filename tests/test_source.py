@@ -98,3 +98,20 @@ def test_no_function_in_src_keeps_a_process_wide_cache():
                     if name in ("lru_cache", "cache"):
                         cached.append(f"{path.name}: {node.name}")
     assert cached == []
+
+
+
+def test_every_record_is_a_collections_namedtuple_and_only_checked_overrides_its_build():
+    # one record idiom, with no `typing.NamedTuple`, and one statement of the check-on-every-build rule
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+        found += [f"{path.name}: imports {module}" for module in modules if module.split(".")[0] == "typing"]
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            names = [item.name for item in cls.body if isinstance(item, ast.FunctionDef)]
+            names += [target.id for item in cls.body if isinstance(item, ast.Assign)
+                      for target in item.targets if isinstance(target, ast.Name)]
+            found += [f"{path.name}: {cls.name}.{name}" for name in names if name in ("__new__", "_make")]
+    assert found == ["ingestion.py: _Checked.__new__", "ingestion.py: _Checked._make"]
