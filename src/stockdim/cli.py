@@ -8,11 +8,14 @@ tables. Output goes into --out-dir with exit code 0. Any error, a
 non-finite number or a result too large for a float included, prints
 `Error: ...`, one line per problem, and exits 1; a usage error prints the
 usage, then one `Error: ...` line, and exits 2. A UTF-8 byte order mark
-opening the INI file is skipped.
+opening the INI file is skipped. `main()` without `args` reads the command
+line and first freezes the heap (`gc.freeze()`): its process ends with the
+run, so the exit-time collection need not walk what the imports made.
+`main(args)` changes no GC state. Only --config imports `configparser`.
 """
 
 import argparse
-import configparser
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -81,22 +84,24 @@ def _unknown_entry(parser):
 def _build_config(params) -> RunConfig:
     """Merge flags > config file > defaults into a validated RunConfig."""
     path = params["config_file"]
-    parser = configparser.ConfigParser()
-    try:
-        if path:
+    if path:  # only a run with --config imports configparser
+        import configparser
+
+        parser = configparser.ConfigParser()
+        try:
             with open(path, encoding="utf-8-sig") as fh:
                 parser.read_file(fh)
-    except (OSError, UnicodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}")
-    except configparser.Error as exc:  # some of these messages span lines
-        raise ValueError(f"bad config file {path}: " + " ".join(line.strip() for line in str(exc).splitlines()))
-    unknown = _unknown_entry(parser)
-    if unknown:
-        raise ValueError(f"bad config file {path}: unknown {unknown}")
+        except (OSError, UnicodeError) as exc:
+            raise ValueError(f"cannot read config file {path}: {exc}")
+        except configparser.Error as exc:  # some of these messages span lines
+            raise ValueError(f"bad config file {path}: " + " ".join(line.strip() for line in str(exc).splitlines()))
+        unknown = _unknown_entry(parser)
+        if unknown:
+            raise ValueError(f"bad config file {path}: unknown {unknown}")
     settings = {}
     for key, section, option, kind, default, _ in _SETTINGS:
         settings[key] = default
-        if parser.has_option(section, option):  # checked even where a flag overrides it
+        if path and parser.has_option(section, option):  # checked even where a flag overrides it
             raw = parser.get(section, option)
             try:
                 settings[key] = kind(raw)
@@ -145,6 +150,8 @@ class _Parser(argparse.ArgumentParser):
 
 def main(args=None, prog_name="stockdim", standalone_mode=True):
     """Run the subcommand `args` (default: the command line) names; `standalone_mode=False` re-raises errors."""
+    if args is None:  # this process ends with this run (module docstring)
+        gc.freeze()
     args = list(sys.argv[1:] if args is None else args)
     parser = _Parser(prog=prog_name, allow_abbrev=False,
                      description="Dimension a distributor's strategic stock from delivery history.")

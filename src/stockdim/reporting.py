@@ -25,7 +25,6 @@ Only a product id can need quoting, by RFC 4180 (`_id_field`).
 """
 
 import contextlib
-import json
 import math
 import os
 import tempfile
@@ -170,6 +169,8 @@ def gap_csv(blocks, fh):
 
 
 def _summary_json(summary, fh):
+    import json  # only `report` writes summary.json, so only it pays for the import
+
     json.dump(summary, fh, indent=2, sort_keys=True)
     fh.write("\n")
 

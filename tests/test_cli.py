@@ -683,6 +683,46 @@ def test_report_in_one_process_writes_the_pinned_bytes(platform, bundled_paths, 
     assert gc.get_freeze_count() == frozen
 
 
+def test_only_a_run_that_reads_the_command_line_freezes_the_heap(bundled_paths, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["stockdim", "classify", *base_args(bundled_paths, tmp_path)])
+    frozen = gc.get_freeze_count()
+    try:
+        result = invoke(None)
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "classification.csv").is_file()
+
+
+@pytest.mark.parametrize("args, exit_code", [
+    *(([command], 0) for command in ("classify", "forecast", "backtest", "plan", "volume", "report")),
+    (["report", "--stock", "no-such-dir/stock.csv"], 1),
+    (["report", "--bogus"], 2),
+], ids=["classify", "forecast", "backtest", "plan", "volume", "report", "failing", "usage-error"])
+def test_a_run_given_its_args_keeps_the_freeze_count(args, exit_code, bundled_paths, tmp_path):
+    frozen = gc.get_freeze_count()
+    result = invoke([args[0], *base_args(bundled_paths, tmp_path), *args[1:]])  # the last --stock counts
+    assert result.exit_code == exit_code, result.output
+    assert gc.get_freeze_count() == frozen
+
+
+def run_from_the_command_line(python, paths, out_dir):
+    """Run `report --all` through `main()` in a fresh `python`, which freezes its heap, and check that its exit loses nothing."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
+    done = subprocess.run([str(python), "-c", "from stockdim.cli import main; main()", "report", "--all",
+                           *base_args(paths, out_dir)], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, f"{python}: {done.stderr}"
+    assert done.stdout == "".join(f"wrote {out_dir / name}\n" for name in reporting.REPORT)
+    assert done.stderr == "WARNING: no stock snapshot for DG-0047; assuming 0 boxes on hand\n"
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert hashes == GOLDEN[("report", "--all")]
+
+
+def test_a_command_line_run_writes_and_prints_everything_before_it_exits(bundled_paths, tmp_path):
+    run_from_the_command_line(sys.executable, bundled_paths, tmp_path)
+
+
 def test_importing_the_cli_loads_no_click():
     code = "import stockdim.cli, sys; print('click' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
@@ -706,11 +746,12 @@ def test_a_usage_error_prints_the_usage_and_one_error_line(args, named):
     assert error.startswith("Error: ") and named in error
 
 
-def test_importing_the_cli_loads_no_pickle_process_pool_dataclasses_or_inspect_module():
+def test_importing_the_cli_loads_no_pickle_process_pool_dataclasses_inspect_configparser_or_json_module():
     # Every CLI call starts a fresh interpreter, so each module imported at
-    # start-up costs every call; the writer child imports pickle on failure only.
+    # start-up costs every call; the writer child imports pickle on failure
+    # only, a run with --config imports configparser and `report` json.
     code = ("import sys, stockdim.cli; print(*[m for m in ('pickle', 'multiprocessing', 'concurrent.futures', "
-            "'dataclasses', 'inspect') if m in sys.modules])")
+            "'dataclasses', 'inspect', 'configparser', 'json') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(reporting.__file__).parents[1]))
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert loaded.stdout.strip() == ""

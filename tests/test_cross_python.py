@@ -3,7 +3,8 @@
 Each interpreter runs `run_pipeline` in a subprocess, without click, on
 the bundled data and on the benchmark's small generated `smoke` set
 (seed 1, written once by the running interpreter), and `parse_inputs` on
-copies of the bundled data with a NUL byte in one file. Interpreters are
+copies of the bundled data with a NUL byte in one file, and `report --all`
+through the command line entry point on the bundled data. Interpreters are
 looked up among pyenv's versions (`$PYENV_ROOT`, by default `~/.pyenv`).
 """
 
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import run_from_the_command_line
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = """
@@ -84,6 +87,15 @@ def test_every_python_from_3_10_writes_the_same_bytes(tmp_path):
     assert len(expected) == 2 * 13
     for python in pythons:
         assert report_hashes(python, datasets) == expected, python
+
+
+def test_every_python_from_3_10_ends_a_command_line_run_with_every_file_and_line(bundled_paths, tmp_path):
+    # `main()` freezes the heap of a command line run; its exit must still flush and write everything
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other Python 3.10 to 3.13 found: no run was checked")
+    for python in pythons:
+        run_from_the_command_line(python, bundled_paths, tmp_path / python.parent.parent.name)
 
 
 def test_every_python_from_3_10_refuses_a_nul_byte_alike(tmp_path):
